@@ -29,11 +29,11 @@
 use crate::runtime::{FlexWattsRuntime, PreparedInterval, RuntimeReport};
 use crate::topology::PdnMode;
 use pdn_pmu::{CStateDriver, FirmwareImage};
-use pdn_proc::{DomainKind, PackageCState};
+use pdn_proc::DomainKind;
 use pdn_units::{Amps, ApplicationRatio, Seconds};
 use pdn_workload::{Phase, Trace, WorkloadType};
-use pdnspot::batch::{par_map, Workers};
-use pdnspot::{Pdn, PdnError, Scenario};
+use pdnspot::batch::Workers;
+use pdnspot::PdnError;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -561,10 +561,7 @@ impl FlexWattsRuntime {
         policy: &DegradationPolicy,
         workers: Workers,
     ) -> Result<FaultCampaignReport, PdnError> {
-        let prepared = par_map(trace.intervals(), workers, |_, interval| {
-            self.prepare_interval(interval.phase)
-        });
-        let prepared: Vec<PreparedInterval> = prepared.into_iter().collect::<Result<_, _>>()?;
+        let prepared = self.prepare_batch(trace.intervals(), workers)?;
         let sensors = self.fresh_sensor_bank();
         let n_intervals = trace.intervals().len();
 
@@ -609,8 +606,7 @@ impl FlexWattsRuntime {
         let trip = self.protection.trip_current();
 
         for (i, (interval, prep)) in trace.intervals().iter().zip(&prepared).enumerate() {
-            let PreparedInterval { scenario, power_ivr, power_ldo, vin_ldo, estimated_type } = prep;
-            let (power_ivr, power_ldo, vin_ldo) = (*power_ivr, *power_ldo, *vin_ldo);
+            let PreparedInterval { power_ivr, power_ldo, vin_ldo, estimated_type, .. } = *prep;
             let faults = ActiveFaults::fold(plan.at(i));
 
             // --- Firmware faults: the PMU re-validates its flash copy.
@@ -708,7 +704,7 @@ impl FlexWattsRuntime {
                     crate::predictor::PredictorInputs {
                         tdp: self.soc.tdp,
                         ar: accepted,
-                        workload_type: *estimated_type,
+                        workload_type: estimated_type,
                         power_state: None,
                     }
                 }
@@ -748,8 +744,6 @@ impl FlexWattsRuntime {
             let mut pending_switch_failures = faults.switch_attempts;
             let mut switch_fault_exercised = false;
 
-            let c6 = Scenario::idle(&self.soc, PackageCState::C6);
-
             let mut remaining = interval.duration;
             while remaining.get() > 0.0 {
                 if since_eval >= eval_interval {
@@ -773,9 +767,9 @@ impl FlexWattsRuntime {
                         correct_predictions += 1;
                     }
                     if decided != mode {
-                        let v_from = self.vin_level(mode, scenario);
-                        let v_to = self.vin_level(decided, scenario);
-                        let c6_power = self.pdn(mode).evaluate(&c6)?.input_power;
+                        let v_from = self.vin_level(mode, prep);
+                        let v_to = self.vin_level(decided, prep);
+                        let c6_power = self.c6_power(mode)?;
                         // Protection-mandated switches run the hardened
                         // ROM flow: electrical safety has the last word,
                         // injected flow faults cannot block it.
@@ -822,7 +816,7 @@ impl FlexWattsRuntime {
                             let transition =
                                 self.switch_flow.execute(mode, decided, v_from, v_to, &mut driver);
                             let switch_time = transition.total();
-                            let c6_power_new = self.pdn(decided).evaluate(&c6)?.input_power;
+                            let c6_power_new = self.c6_power(decided)?;
                             energy += c6_power_new * switch_time;
                             oracle_energy += c6_power_new * switch_time;
                             flow_energy += c6_power_new * switch_time;
@@ -873,7 +867,7 @@ impl FlexWattsRuntime {
                                 // oscillating through further failures.
                                 latched = true;
                                 if mode != PdnMode::IvrMode {
-                                    let v_to_safe = self.vin_level(PdnMode::IvrMode, scenario);
+                                    let v_to_safe = self.vin_level(PdnMode::IvrMode, prep);
                                     let transition = self.switch_flow.execute(
                                         mode,
                                         PdnMode::IvrMode,
@@ -882,8 +876,7 @@ impl FlexWattsRuntime {
                                         &mut driver,
                                     );
                                     let switch_time = transition.total();
-                                    let c6_power_safe =
-                                        self.pdn(PdnMode::IvrMode).evaluate(&c6)?.input_power;
+                                    let c6_power_safe = self.c6_power(PdnMode::IvrMode)?;
                                     energy += c6_power_safe * switch_time;
                                     oracle_energy += c6_power_safe * switch_time;
                                     flow_energy += c6_power_safe * switch_time;
@@ -907,9 +900,9 @@ impl FlexWattsRuntime {
                     && self.protection.would_trip(effective_vin)
                 {
                     protection_overrides += 1;
-                    let v_from = self.vin_level(mode, scenario);
-                    let v_to = self.vin_level(PdnMode::IvrMode, scenario);
-                    let c6_power_safe = self.pdn(PdnMode::IvrMode).evaluate(&c6)?.input_power;
+                    let v_from = self.vin_level(mode, prep);
+                    let v_to = self.vin_level(PdnMode::IvrMode, prep);
+                    let c6_power_safe = self.c6_power(PdnMode::IvrMode)?;
                     let transition =
                         self.switch_flow.execute(mode, PdnMode::IvrMode, v_from, v_to, &mut driver);
                     let switch_time = transition.total();

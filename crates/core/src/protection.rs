@@ -14,7 +14,7 @@
 
 use crate::topology::{FlexWattsPdn, PdnMode};
 use pdn_units::Amps;
-use pdnspot::{Pdn, PdnError, Scenario};
+use pdnspot::PdnError;
 use serde::{Deserialize, Serialize};
 
 /// The PMU's maximum-current protection for the shared `V_IN` rail.
@@ -83,33 +83,19 @@ impl MaxCurrentProtection {
         vin_current > self.trip_current()
     }
 
-    /// Applies the protection to a mode decision: if running `scenario` in
-    /// the decided mode would exceed the trip current on `V_IN`, the
-    /// decision is overridden to IVR-Mode (whose higher rail voltage
-    /// halves the current).
+    /// Applies the protection to a mode decision: if running the interval
+    /// in the decided mode would exceed the trip current on `V_IN` — its
+    /// LDO-Mode `V_IN` current is `ldo_vin_current` — the decision is
+    /// overridden to IVR-Mode (whose higher rail voltage halves the
+    /// current).
     ///
     /// Returns the (possibly overridden) mode and whether an override
     /// fired.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn enforce(
-        &self,
-        decided: PdnMode,
-        ldo_mode: &FlexWattsPdn,
-        scenario: &Scenario,
-    ) -> Result<(PdnMode, bool), PdnError> {
-        if decided == PdnMode::IvrMode {
-            return Ok((decided, false));
-        }
-        let eval = ldo_mode.evaluate(scenario)?;
-        let vin_current =
-            eval.rails.iter().find(|r| r.name == "V_IN").map(|r| r.current).unwrap_or(Amps::ZERO);
-        if self.would_trip(vin_current) {
-            Ok((PdnMode::IvrMode, true))
+    pub fn enforce(&self, decided: PdnMode, ldo_vin_current: Amps) -> (PdnMode, bool) {
+        if decided == PdnMode::LdoMode && self.would_trip(ldo_vin_current) {
+            (PdnMode::IvrMode, true)
         } else {
-            Ok((decided, false))
+            (decided, false)
         }
     }
 }
@@ -120,7 +106,13 @@ mod tests {
     use pdn_proc::client_soc;
     use pdn_units::{ApplicationRatio, Watts};
     use pdn_workload::WorkloadType;
-    use pdnspot::ModelParams;
+    use pdnspot::{ModelParams, Pdn, Scenario};
+
+    /// The LDO-Mode `V_IN` rail current of a scenario.
+    fn ldo_vin_current(ldo: &FlexWattsPdn, scenario: &Scenario) -> Amps {
+        let eval = ldo.evaluate(scenario).unwrap();
+        eval.rails.iter().find(|r| r.name == "V_IN").map_or(Amps::ZERO, |r| r.current)
+    }
 
     fn protection(tdp: f64) -> (MaxCurrentProtection, FlexWattsPdn, pdn_proc::SocSpec) {
         let params = ModelParams::paper_defaults();
@@ -140,7 +132,7 @@ mod tests {
             ApplicationRatio::new(0.6).unwrap(),
         )
         .unwrap();
-        let (mode, fired) = prot.enforce(PdnMode::IvrMode, &ldo, &s).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::IvrMode, ldo_vin_current(&ldo, &s));
         assert_eq!(mode, PdnMode::IvrMode);
         assert!(!fired);
     }
@@ -149,7 +141,7 @@ mod tests {
     fn light_ldo_mode_loads_are_allowed() {
         let (prot, ldo, soc) = protection(18.0);
         let s = Scenario::idle(&soc, pdn_proc::PackageCState::C0Min);
-        let (mode, fired) = prot.enforce(PdnMode::LdoMode, &ldo, &s).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::LdoMode, ldo_vin_current(&ldo, &s));
         assert_eq!(mode, PdnMode::LdoMode);
         assert!(!fired, "C0MIN currents are far below the trip point");
     }
@@ -161,7 +153,7 @@ mod tests {
         // protection must fire.
         let (prot, ldo, soc) = protection(50.0);
         let virus = Scenario::power_virus_at_tdp(&soc, WorkloadType::MultiThread).unwrap();
-        let (mode, fired) = prot.enforce(PdnMode::LdoMode, &ldo, &virus).unwrap();
+        let (mode, fired) = prot.enforce(PdnMode::LdoMode, ldo_vin_current(&ldo, &virus));
         assert_eq!(mode, PdnMode::IvrMode);
         assert!(fired, "the power virus in LDO-Mode must trip the protection");
     }

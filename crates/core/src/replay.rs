@@ -28,7 +28,7 @@ use pdn_workload::tracefile::{
     crc32, fnv1a64, DefectCounts, DefectPolicy, TraceFileError, TraceReader,
 };
 use pdn_workload::TraceInterval;
-use pdnspot::batch::{par_map, Workers};
+use pdnspot::batch::Workers;
 use pdnspot::PdnError;
 use std::fmt;
 use std::fs::{self, File};
@@ -435,19 +435,18 @@ impl<'rt> TraceReplayer<'rt> {
         self.intervals_done
     }
 
-    /// Replays a batch: pure preparation fans out in parallel, the
+    /// Replays a batch: the pure preparation runs row-batched on the
+    /// worker pool ([`FlexWattsRuntime::prepare_batch`]), then the
     /// stateful pass runs serially in order.
     ///
     /// # Errors
     ///
-    /// Propagates PDNspot evaluation errors.
+    /// Propagates PDNspot evaluation errors. A batch whose preparation
+    /// fails replays none of its intervals.
     pub fn feed(&mut self, intervals: &[TraceInterval]) -> Result<(), PdnError> {
-        let prepared = par_map(intervals, self.workers, |_, interval| {
-            self.rt.prepare_interval(interval.phase)
-        });
-        for (interval, prep) in intervals.iter().zip(prepared) {
-            let prep = prep?;
-            self.state.step(self.rt, &self.sensors, interval, &prep)?;
+        let prepared = self.rt.prepare_batch(intervals, self.workers)?;
+        for (interval, prep) in intervals.iter().zip(&prepared) {
+            self.state.step(self.rt, &self.sensors, interval, prep)?;
             self.intervals_done += 1;
         }
         Ok(())

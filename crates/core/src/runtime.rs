@@ -14,10 +14,10 @@ use crate::switchflow::{ModeSwitchFlow, SwitchTransition};
 use crate::topology::{FlexWattsPdn, PdnMode};
 use pdn_pmu::{classify_workload, ActivitySensorBank, CStateDriver};
 use pdn_proc::{DomainKind, DomainTable, PackageCState, SocSpec};
-use pdn_units::{Amps, Seconds, Volts, Watts};
-use pdn_workload::{Phase, Trace, WorkloadType};
+use pdn_units::{Amps, ApplicationRatio, Seconds, Volts, Watts};
+use pdn_workload::{Phase, Trace, TraceInterval, WorkloadType};
 use pdnspot::batch::{par_map, Workers};
-use pdnspot::{ModelParams, Pdn, PdnError, Scenario};
+use pdnspot::{ModelParams, Pdn, PdnError, RowStage, Scenario};
 use std::collections::BTreeMap;
 
 /// Configuration of a runtime simulation.
@@ -100,17 +100,31 @@ impl RuntimeReport {
     }
 }
 
-/// The pure (order-insensitive) part of one trace interval: the
-/// ground-truth scenario, both modes' input powers, the LDO-Mode `V_IN`
-/// rail current (what the maximum-current protection watches), and the
-/// PMU's domain-state workload classification.
+/// The pure (order-insensitive) part of one trace interval: both modes'
+/// input powers, the LDO-Mode `V_IN` rail current (what the
+/// maximum-current protection watches), the LDO-Mode `V_IN` level (the
+/// highest powered wide-range domain voltage, what a switch slews to),
+/// and the PMU's domain-state workload classification. Everything the
+/// serial pass reads, and nothing it does not: no scenario survives the
+/// prepare.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedInterval {
-    pub(crate) scenario: Scenario,
     pub(crate) power_ivr: Watts,
     pub(crate) power_ldo: Watts,
     pub(crate) vin_ldo: Amps,
+    pub(crate) ldo_vin_level: Volts,
     pub(crate) estimated_type: WorkloadType,
 }
+
+/// Most intervals in one prepare tile: the unit
+/// [`FlexWattsRuntime::prepare_batch`] hands the worker pool, and the
+/// span within which the intervals of one phase class share a row build
+/// and a [`RowStage`].
+const PREPARE_TILE: usize = 256;
+
+/// Row index of the idle phases in a prepare tile; active phases take
+/// the row of their workload type's discriminant.
+const IDLE_ROW: usize = 4;
 
 /// The FlexWatts runtime simulator.
 #[derive(Debug)]
@@ -123,6 +137,9 @@ pub struct FlexWattsRuntime {
     pub(crate) switch_flow: ModeSwitchFlow,
     pub(crate) protection: MaxCurrentProtection,
     pub(crate) config: RuntimeConfig,
+    /// Each mode's input power with the package in C6 — what a mode
+    /// switch burns while its flow runs — indexed by [`PdnMode`].
+    c6_power: [Result<Watts, PdnError>; 2],
 }
 
 impl FlexWattsRuntime {
@@ -134,10 +151,14 @@ impl FlexWattsRuntime {
         config: RuntimeConfig,
     ) -> Self {
         let ivr_mode = FlexWattsPdn::new(params.clone(), PdnMode::IvrMode);
+        let ldo_mode = FlexWattsPdn::new(params, PdnMode::LdoMode);
         let protection = MaxCurrentProtection::from_rail_sizing(&ivr_mode, &soc)
             .expect("rail sizing of the client SoC is always feasible");
+        let c6 = Scenario::idle(&soc, PackageCState::C6);
+        let c6_power = [&ivr_mode, &ldo_mode].map(|pdn| Ok(pdn.evaluate(&c6)?.input_power));
         Self {
-            ldo_mode: FlexWattsPdn::new(params, PdnMode::LdoMode),
+            ldo_mode,
+            c6_power,
             sensors: ActivitySensorBank::new(config.sensor_seed),
             switch_flow: ModeSwitchFlow::new(),
             ivr_mode,
@@ -148,51 +169,139 @@ impl FlexWattsRuntime {
         }
     }
 
-    pub(crate) fn pdn(&self, mode: PdnMode) -> &FlexWattsPdn {
-        match mode {
-            PdnMode::IvrMode => &self.ivr_mode,
-            PdnMode::LdoMode => &self.ldo_mode,
-        }
+    /// The input power of `mode` with the package in C6 (computed once
+    /// at construction; evaluation errors surface at the first switch,
+    /// as they would evaluating on the spot).
+    pub(crate) fn c6_power(&self, mode: PdnMode) -> Result<Watts, PdnError> {
+        self.c6_power[mode as usize].clone()
     }
 
     /// The `V_IN` level of a mode (used for switch slew accounting).
-    pub(crate) fn vin_level(&self, mode: PdnMode, scenario: &Scenario) -> Volts {
+    pub(crate) fn vin_level(&self, mode: PdnMode, prep: &PreparedInterval) -> Volts {
         match mode {
             PdnMode::IvrMode => self.ivr_mode.params().vin_level,
-            PdnMode::LdoMode => {
-                scenario.max_voltage_among(&DomainKind::WIDE_RANGE).unwrap_or(Volts::new(0.85))
-            }
+            PdnMode::LdoMode => prep.ldo_vin_level,
         }
     }
 
-    /// Builds the pure per-interval state: the scenario and both modes'
-    /// evaluations (the expensive part of an interval, reused across
-    /// its evaluation chunks).
-    pub(crate) fn prepare_interval(&self, phase: Phase) -> Result<PreparedInterval, PdnError> {
-        let (scenario, estimated_type) = match phase {
-            Phase::Active { workload_type, ar } => {
-                let scenario = Scenario::active_fixed_tdp_frequency(&self.soc, workload_type, ar)?;
-                let powered = DomainTable::from_fn(|k| scenario.load(k).powered);
-                let estimated_type = classify_workload(&powered, None);
-                (scenario, estimated_type)
+    /// Prepares a batch of intervals: the pure per-interval state (both
+    /// modes' evaluations, the expensive part of an interval, reused
+    /// across its evaluation chunks), index-aligned with `intervals`.
+    ///
+    /// The batch splits into equal tiles of at most [`PREPARE_TILE`]
+    /// intervals, at least one per worker, fanned out over the worker
+    /// pool. Inside a tile the intervals group by phase class — one row
+    /// per active workload type, one for the idle states — and each row
+    /// builds its scenarios with one row-constructor call
+    /// ([`Scenario::active_fixed_tdp_row`] or [`Scenario::idle_row`]) and
+    /// evaluates both FlexWatts modes through [`Pdn::evaluate_row`] with
+    /// one shared [`RowStage`]. Within a row every scenario shares the
+    /// SoC, workload type, virus tables and virus margin — the
+    /// row-invariant fields a `RowStage` leaves out of its keys — so every
+    /// value is bit-identical to building and evaluating each interval on
+    /// its own, for any tiling.
+    ///
+    /// # Errors
+    ///
+    /// The first error in trace order: the error a per-interval loop
+    /// would have stopped at.
+    pub(crate) fn prepare_batch(
+        &self,
+        intervals: &[TraceInterval],
+        workers: Workers,
+    ) -> Result<Vec<PreparedInterval>, PdnError> {
+        let n_workers = workers.count(intervals.len());
+        let tile_len = intervals.len().div_ceil(n_workers).clamp(1, PREPARE_TILE);
+        let tiles: Vec<&[TraceInterval]> = intervals.chunks(tile_len).collect();
+        let mut prepared = Vec::with_capacity(intervals.len());
+        for tile in par_map(&tiles, Workers::Fixed(n_workers), |_, tile| self.prepare_tile(tile)) {
+            prepared.extend(tile?);
+        }
+        Ok(prepared)
+    }
+
+    /// One tile of [`prepare_batch`](Self::prepare_batch).
+    fn prepare_tile(&self, tile: &[TraceInterval]) -> Result<Vec<PreparedInterval>, PdnError> {
+        let mut rows: [Vec<usize>; IDLE_ROW + 1] = Default::default();
+        for (i, interval) in tile.iter().enumerate() {
+            let row = match interval.phase {
+                Phase::Active { workload_type, .. } => workload_type as usize,
+                Phase::Idle(_) => IDLE_ROW,
+            };
+            rows[row].push(i);
+        }
+        let mut prepared: Vec<Option<PreparedInterval>> = vec![None; tile.len()];
+        // The tile's earliest failing interval and its error.
+        let mut first_error: Option<(usize, PdnError)> = None;
+        let mut fail = |at: usize, e: PdnError| {
+            if first_error.as_ref().is_none_or(|(first, _)| at < *first) {
+                first_error = Some((at, e));
             }
-            Phase::Idle(state) => (Scenario::idle(&self.soc, state), WorkloadType::BatteryLife),
         };
-        let power_ivr = self.ivr_mode.evaluate(&scenario)?.input_power;
-        let ldo_eval = self.ldo_mode.evaluate(&scenario)?;
-        let vin_ldo = ldo_eval
-            .rails
-            .iter()
-            .find(|r| r.name == "V_IN")
-            .map(|r| r.current)
-            .unwrap_or(Amps::ZERO);
-        Ok(PreparedInterval {
-            scenario,
-            power_ivr,
-            power_ldo: ldo_eval.input_power,
-            vin_ldo,
-            estimated_type,
-        })
+        for members in rows.iter().filter(|members| !members.is_empty()) {
+            let built = match tile[members[0]].phase {
+                Phase::Active { workload_type, .. } => {
+                    let ars: Vec<ApplicationRatio> =
+                        members.iter().map(|&i| tile[i].phase.ar()).collect();
+                    Scenario::active_fixed_tdp_row(&self.soc, workload_type, &ars)
+                }
+                Phase::Idle(_) => {
+                    let states: Vec<PackageCState> = members
+                        .iter()
+                        .filter_map(|&i| match tile[i].phase {
+                            Phase::Idle(state) => Some(state),
+                            Phase::Active { .. } => None,
+                        })
+                        .collect();
+                    Ok(Scenario::idle_row(&self.soc, &states))
+                }
+            };
+            let scenarios = match built {
+                Ok(scenarios) => scenarios,
+                Err(e) => {
+                    fail(members[0], e);
+                    continue;
+                }
+            };
+            let stage = RowStage::new();
+            let ivr = self.ivr_mode.evaluate_row(&scenarios, &stage);
+            let ldo = self.ldo_mode.evaluate_row(&scenarios, &stage);
+            for (((&i, scenario), ivr), ldo) in members.iter().zip(&scenarios).zip(ivr).zip(ldo) {
+                let (ivr, ldo) = match (ivr, ldo) {
+                    (Ok(ivr), Ok(ldo)) => (ivr, ldo),
+                    (Err(e), _) | (Ok(_), Err(e)) => {
+                        fail(i, e);
+                        continue;
+                    }
+                };
+                let estimated_type = match tile[i].phase {
+                    Phase::Active { .. } => {
+                        classify_workload(&DomainTable::from_fn(|k| scenario.load(k).powered), None)
+                    }
+                    Phase::Idle(_) => WorkloadType::BatteryLife,
+                };
+                prepared[i] = Some(PreparedInterval {
+                    power_ivr: ivr.input_power,
+                    power_ldo: ldo.input_power,
+                    vin_ldo: ldo
+                        .rails
+                        .iter()
+                        .find(|r| r.name == "V_IN")
+                        .map_or(Amps::ZERO, |r| r.current),
+                    ldo_vin_level: scenario
+                        .max_voltage_among(&DomainKind::WIDE_RANGE)
+                        .unwrap_or(Volts::new(0.85)),
+                    estimated_type,
+                });
+            }
+        }
+        match first_error {
+            Some((_, e)) => Err(e),
+            None => Ok(prepared
+                .into_iter()
+                .map(|p| p.expect("every interval belongs to one row"))
+                .collect()),
+        }
     }
 
     /// Simulates a trace, returning the energy/switch report.
@@ -211,7 +320,8 @@ impl FlexWattsRuntime {
     /// batch engine's worker pool.
     ///
     /// Scenario construction and the two per-interval mode evaluations
-    /// are pure, so they fan out in parallel; the stateful pass —
+    /// are pure, so they run row-batched in parallel tiles
+    /// ([`prepare_batch`](Self::prepare_batch)); the stateful pass —
     /// activity-sensor estimates (an ordered jitter stream), predictor
     /// hysteresis, and mode-switch accounting — then replays serially
     /// in trace order, which keeps the report bit-identical for any
@@ -221,11 +331,7 @@ impl FlexWattsRuntime {
     ///
     /// Propagates PDNspot evaluation errors.
     pub fn run_with(&self, trace: &Trace, workers: Workers) -> Result<RuntimeReport, PdnError> {
-        let prepared = par_map(trace.intervals(), workers, |_, interval| {
-            self.prepare_interval(interval.phase)
-        });
-        let prepared: Vec<PreparedInterval> = prepared.into_iter().collect::<Result<_, _>>()?;
-
+        let prepared = self.prepare_batch(trace.intervals(), workers)?;
         let mut state = ReplayState::new(self);
         for (interval, prep) in trace.intervals().iter().zip(&prepared) {
             state.step(self, &self.sensors, interval, prep)?;
@@ -292,21 +398,21 @@ impl ReplayState {
     /// Replays one interval: draws the PMU inputs (the sensor estimate
     /// is an ordered stream, so it happens here, not in the prepare
     /// fan-out), walks the evaluation-cadence chunks, and accumulates
-    /// energy and time.
+    /// energy and time. Evaluates no PDN: the protection reads the
+    /// prepared `V_IN` current and a switch the runtime's C6 powers.
     pub(crate) fn step(
         &mut self,
         rt: &FlexWattsRuntime,
         sensors: &ActivitySensorBank,
-        interval: &pdn_workload::TraceInterval,
+        interval: &TraceInterval,
         prep: &PreparedInterval,
     ) -> Result<(), PdnError> {
-        let PreparedInterval { scenario, power_ivr, power_ldo, estimated_type, .. } = prep;
-        let (power_ivr, power_ldo) = (*power_ivr, *power_ldo);
+        let PreparedInterval { power_ivr, power_ldo, vin_ldo, estimated_type, .. } = *prep;
         let pmu_inputs = match interval.phase {
             Phase::Active { ar, .. } => PredictorInputs {
                 tdp: rt.soc.tdp,
                 ar: sensors.estimate(DomainKind::Core0, ar),
-                workload_type: *estimated_type,
+                workload_type: estimated_type,
                 power_state: None,
             },
             Phase::Idle(state) => PredictorInputs {
@@ -327,8 +433,7 @@ impl ReplayState {
                 self.evaluations += 1;
                 let mut decided = rt.predictor.predict_with_hysteresis(pmu_inputs, self.mode);
                 if rt.config.max_current_protection {
-                    let (enforced, fired) =
-                        rt.protection.enforce(decided, &rt.ldo_mode, scenario)?;
+                    let (enforced, fired) = rt.protection.enforce(decided, vin_ldo);
                     if fired {
                         self.protection_overrides += 1;
                     }
@@ -339,14 +444,13 @@ impl ReplayState {
                 }
                 if decided != self.mode {
                     // The mode switch forces ≈ 94 µs of C6 idleness.
-                    let v_from = rt.vin_level(self.mode, scenario);
-                    let v_to = rt.vin_level(decided, scenario);
+                    let v_from = rt.vin_level(self.mode, prep);
+                    let v_to = rt.vin_level(decided, prep);
                     let transition =
                         rt.switch_flow.execute(self.mode, decided, v_from, v_to, &mut self.driver);
                     let switch_time = transition.total();
                     // During the switch the package sits in C6.
-                    let c6 = Scenario::idle(&rt.soc, PackageCState::C6);
-                    let c6_power = rt.pdn(decided).evaluate(&c6)?.input_power;
+                    let c6_power = rt.c6_power(decided)?;
                     self.energy += c6_power * switch_time;
                     self.oracle_energy += c6_power * switch_time;
                     self.total_time += switch_time;
@@ -394,8 +498,10 @@ impl ReplayState {
 mod tests {
     use super::*;
     use pdn_proc::client_soc;
-    use pdn_units::ApplicationRatio;
-    use pdn_workload::{BatteryLifeWorkload, TraceInterval, WorkloadType};
+    use pdn_workload::BatteryLifeWorkload;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn predictor() -> ModePredictor {
         ModePredictor::train(
@@ -645,5 +751,201 @@ mod tests {
         );
         assert!(report.oracle_energy_joules <= report.energy_joules + 1e-12);
         assert!(report.predictor_evaluations >= 5);
+    }
+
+    /// The per-interval preparation [`FlexWattsRuntime::prepare_batch`]
+    /// replaced, kept as its oracle: each interval builds its scenario
+    /// with the per-point constructor and evaluates both modes on its
+    /// own.
+    fn oracle_prepare(rt: &FlexWattsRuntime, phase: Phase) -> Result<PreparedInterval, PdnError> {
+        let (scenario, estimated_type) = match phase {
+            Phase::Active { workload_type, ar } => {
+                let scenario = Scenario::active_fixed_tdp_frequency(&rt.soc, workload_type, ar)?;
+                let powered = DomainTable::from_fn(|k| scenario.load(k).powered);
+                (scenario, classify_workload(&powered, None))
+            }
+            Phase::Idle(state) => (Scenario::idle(&rt.soc, state), WorkloadType::BatteryLife),
+        };
+        let power_ivr = rt.ivr_mode.evaluate(&scenario)?.input_power;
+        let ldo = rt.ldo_mode.evaluate(&scenario)?;
+        Ok(PreparedInterval {
+            power_ivr,
+            power_ldo: ldo.input_power,
+            vin_ldo: ldo.rails.iter().find(|r| r.name == "V_IN").map_or(Amps::ZERO, |r| r.current),
+            ldo_vin_level: scenario
+                .max_voltage_among(&DomainKind::WIDE_RANGE)
+                .unwrap_or(Volts::new(0.85)),
+            estimated_type,
+        })
+    }
+
+    /// The oracle over a batch: stops at the first error in trace order.
+    fn oracle_batch(
+        rt: &FlexWattsRuntime,
+        intervals: &[TraceInterval],
+    ) -> Result<Vec<PreparedInterval>, PdnError> {
+        intervals.iter().map(|interval| oracle_prepare(rt, interval.phase)).collect()
+    }
+
+    /// A prepared interval as exact bits.
+    fn bits(p: &PreparedInterval) -> ([u64; 4], WorkloadType) {
+        let values = [p.power_ivr.get(), p.power_ldo.get(), p.vin_ldo.get(), p.ldo_vin_level.get()];
+        (values.map(f64::to_bits), p.estimated_type)
+    }
+
+    fn same_bits(
+        got: &Result<Vec<PreparedInterval>, PdnError>,
+        want: &Result<Vec<PreparedInterval>, PdnError>,
+    ) -> bool {
+        match (got, want) {
+            (Ok(got), Ok(want)) => got.iter().map(bits).eq(want.iter().map(bits)),
+            (Err(got), Err(want)) => got == want,
+            _ => false,
+        }
+    }
+
+    /// One runtime per TDP of the property test, sharing one predictor.
+    fn runtimes() -> &'static [FlexWattsRuntime] {
+        static RTS: OnceLock<Vec<FlexWattsRuntime>> = OnceLock::new();
+        RTS.get_or_init(|| {
+            let predictor = predictor();
+            [4.0, 18.0, 50.0]
+                .map(|tdp| {
+                    FlexWattsRuntime::new(
+                        client_soc(Watts::new(tdp)),
+                        ModelParams::paper_defaults(),
+                        predictor.clone(),
+                        RuntimeConfig::default(),
+                    )
+                })
+                .into()
+        })
+    }
+
+    /// A drawn interval: `kind` picks one of the three active workload
+    /// types or one of the package C-states; `ar_pick` lands on the AR
+    /// extremes (1e-6 only when the trace may fail) or on `ar`.
+    fn interval(
+        (kind, ar_pick, ar, millis): (usize, usize, f64, f64),
+        may_fail: bool,
+    ) -> TraceInterval {
+        const ACTIVE: [WorkloadType; 3] =
+            [WorkloadType::SingleThread, WorkloadType::MultiThread, WorkloadType::Graphics];
+        let duration = Seconds::from_millis(millis);
+        match ACTIVE.get(kind) {
+            Some(&workload_type) => {
+                let ar = match ar_pick {
+                    0 if may_fail => 1e-6,
+                    0 | 1 => 1.0,
+                    _ => ar,
+                };
+                TraceInterval::active(duration, workload_type, ApplicationRatio::new(ar).unwrap())
+            }
+            None => TraceInterval::idle(duration, PackageCState::ALL[kind - ACTIVE.len()]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The tiled, row-batched prepare reproduces the per-interval
+        /// oracle bit for bit — or fails with the oracle's first error in
+        /// trace order — on mixed traces whose lengths cross tile
+        /// boundaries, for every worker count.
+        #[test]
+        fn prepare_batch_matches_the_per_interval_oracle(
+            tdp_pick in 0usize..3,
+            may_fail in 0usize..4,
+            draws in vec((0usize..3 + PackageCState::ALL.len(), 0usize..12, 0.25f64..1.0, 1.0f64..30.0), 0..600),
+        ) {
+            let rt = &runtimes()[tdp_pick];
+            let intervals: Vec<TraceInterval> =
+                draws.into_iter().map(|d| interval(d, may_fail == 0)).collect();
+            let want = oracle_batch(rt, &intervals);
+            for workers in [Workers::Serial, Workers::Fixed(2), Workers::Fixed(3)] {
+                let got = rt.prepare_batch(&intervals, workers);
+                prop_assert!(
+                    same_bits(&got, &want),
+                    "{} intervals at {} W on {:?}: {:?} != oracle {:?}",
+                    intervals.len(),
+                    rt.soc.tdp.get(),
+                    workers,
+                    got.as_ref().err(),
+                    want.as_ref().err()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prepare_batch_reports_the_first_error_in_trace_order() {
+        let rt = runtime(18.0);
+        let light = TraceInterval::idle(Seconds::from_millis(5.0), PackageCState::C2);
+        let failing = |wl| TraceInterval::active(Seconds::from_millis(5.0), wl, ar(1e-6));
+        // Three failures share a tile. The earliest in the trace sits in
+        // the row evaluated second, between an earlier and a later row.
+        let mut intervals = vec![light; 300];
+        intervals[140] = failing(WorkloadType::MultiThread);
+        intervals[150] = failing(WorkloadType::SingleThread);
+        intervals[160] = failing(WorkloadType::Graphics);
+        let [multi, single, graphics] =
+            [140, 150, 160].map(|i| oracle_prepare(&rt, intervals[i].phase).unwrap_err());
+        assert!(multi != single && multi != graphics, "the failures must be told apart");
+        for workers in [Workers::Serial, Workers::Fixed(2), Workers::Fixed(3)] {
+            assert_eq!(rt.prepare_batch(&intervals, workers).unwrap_err(), multi);
+        }
+        // A failing feed replays none of its batch.
+        let mut replayer = crate::TraceReplayer::new(&rt, Workers::Serial);
+        replayer.feed(&intervals[..100]).unwrap();
+        assert_eq!(replayer.feed(&intervals[100..]).unwrap_err(), multi);
+        assert_eq!(replayer.intervals_done(), 100);
+    }
+
+    #[test]
+    fn max_current_protection_fires_and_matches_the_re_evaluating_runtime() {
+        // A predictor trained only on low-TDP points always prefers
+        // LDO-Mode, so at 36 W every heavy phase trips the protection
+        // and every light phase switches back.
+        let predictor =
+            ModePredictor::train(&ModelParams::paper_defaults(), &[4.0, 6.0], &[0.4, 0.6]).unwrap();
+        let rt = FlexWattsRuntime::new(
+            client_soc(Watts::new(36.0)),
+            ModelParams::paper_defaults(),
+            predictor,
+            RuntimeConfig::default(),
+        );
+        let mut intervals = Vec::new();
+        for _ in 0..3 {
+            intervals.push(TraceInterval::idle(Seconds::from_millis(20.0), PackageCState::C0Min));
+            intervals.push(TraceInterval::active(
+                Seconds::from_millis(20.0),
+                WorkloadType::MultiThread,
+                ar(0.9),
+            ));
+            intervals.push(TraceInterval::active(
+                Seconds::from_millis(15.0),
+                WorkloadType::Graphics,
+                ar(1.0),
+            ));
+            intervals.push(TraceInterval::active(
+                Seconds::from_millis(25.0),
+                WorkloadType::SingleThread,
+                ar(0.5),
+            ));
+        }
+        let trace = Trace::new("protection", intervals);
+        // The report of the runtime whose protection re-evaluated the
+        // LDO-Mode scenario at every decision and whose switches
+        // evaluated C6 on the spot, pinned bit for bit.
+        for workers in [Workers::Serial, Workers::Fixed(3)] {
+            let report = rt.run_with(&trace, workers).unwrap();
+            assert_eq!(report.protection_overrides, 12);
+            assert_eq!(report.switches.len(), 7);
+            assert_eq!(report.predictor_evaluations, 24);
+            assert_eq!(report.energy_joules.to_bits(), 0x4018_218d_b426_5c73);
+            assert_eq!(report.oracle_energy_joules.to_bits(), 0x4017_e088_35b5_751b);
+            assert_eq!(report.total_time.get().to_bits(), 0x3fce_ce2d_1f1c_fbbd);
+            assert_eq!(report.prediction_accuracy.to_bits(), 0x3fe8_0000_0000_0000);
+        }
     }
 }

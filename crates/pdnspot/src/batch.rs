@@ -745,8 +745,6 @@ struct ScenarioCache<'g, P: ?Sized> {
     solved_t: Vec<OnceLock<Result<f64, PdnError>>>,
     /// Per-TDP active-point (TDP-sized) virus load tables.
     active_virus: Vec<OnceLock<[DomainTable<DomainLoad>; 2]>>,
-    /// Per-TDP idle-point (fmin-sized) virus load tables.
-    idle_virus: Vec<OnceLock<[DomainTable<DomainLoad>; 2]>>,
     /// Validated AR axis plus each AR's formatted name suffix, built once
     /// per sweep: the fixed-precision float `Display` in a scenario name
     /// costs more than the rest of the point's construction, and the
@@ -767,7 +765,6 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
             socs: (0..n_tdps).map(|_| OnceLock::new()).collect(),
             solved_t: (0..n_tdps * grid.workload_types.len()).map(|_| OnceLock::new()).collect(),
             active_virus: (0..n_tdps).map(|_| OnceLock::new()).collect(),
-            idle_virus: (0..n_tdps).map(|_| OnceLock::new()).collect(),
             ar_axis: OnceLock::new(),
             rows: (0..grid.n_rows()).map(|_| OnceLock::new()).collect(),
             lookups: AtomicUsize::new(0),
@@ -802,10 +799,6 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
         *self.active_virus[tdp_idx].get_or_init(|| Scenario::tdp_virus_loads(soc))
     }
 
-    fn idle_virus(&self, tdp_idx: usize, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
-        *self.idle_virus[tdp_idx].get_or_init(|| Scenario::fmin_virus_loads(soc))
-    }
-
     /// Builds one row's scenarios through the row constructors.
     /// Bit-identical to the unstaged per-point [`Scenario`] constructors:
     /// the hoisted values are exactly what those constructors would
@@ -820,7 +813,7 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
                 };
                 let t = self.solved_t(tdp_idx, wl_idx, soc).clone()?;
                 let virus = self.active_virus(tdp_idx, soc);
-                Scenario::active_fixed_tdp_row(
+                Scenario::active_fixed_tdp_row_staged(
                     soc,
                     self.grid.workload_types[wl_idx],
                     ars,
@@ -829,10 +822,7 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
                     &virus,
                 )
             }
-            LatticeRow::Idle { tdp_idx } => {
-                let virus = self.idle_virus(tdp_idx, soc);
-                Ok(Scenario::idle_row(soc, &self.grid.idle_states, &virus))
-            }
+            LatticeRow::Idle { .. } => Ok(Scenario::idle_row(soc, &self.grid.idle_states)),
         }
     }
 

@@ -395,6 +395,31 @@ impl Scenario {
         format!("{:.0}", ar.percent())
     }
 
+    /// Builds every [`Scenario::active_fixed_tdp_frequency`] scenario of
+    /// one AR row (fixed SoC and workload type; AR varying) in a single
+    /// call, bit-identical to the per-point constructor at each AR.
+    ///
+    /// The fixed-TDP frequency solve and the virus tables come from the
+    /// process-wide staging cache and are looked up once for the row; see
+    /// `active_fixed_tdp_row_staged` for what the row hoists per point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError::Scenario`] if the frequency solve fails or no
+    /// domain ends up powered — the errors the per-point constructor
+    /// returns, in the same order (both are AR-independent, so the whole
+    /// row fails identically).
+    pub fn active_fixed_tdp_row(
+        soc: &SocSpec,
+        workload_type: WorkloadType,
+        ars: &[ApplicationRatio],
+    ) -> Result<Vec<Self>, PdnError> {
+        let t = Self::solve_t_fixed_tdp(soc, workload_type)?;
+        let suffixes: Vec<String> = ars.iter().map(|&ar| Self::ar_suffix(ar)).collect();
+        let virus = Self::tdp_virus_loads(soc);
+        Self::active_fixed_tdp_row_staged(soc, workload_type, ars, &suffixes, t, &virus)
+    }
+
     /// Row-at-a-time counterpart of `active_fixed_tdp_staged`:
     /// builds every scenario of one AR row (fixed SoC, workload type and
     /// frequency scalar; AR varying) in a single call. The per-domain
@@ -414,7 +439,7 @@ impl Scenario {
     ///
     /// Returns [`PdnError::Scenario`] if no domain ends up powered (the
     /// powered set is AR-independent, so the whole row fails identically).
-    pub(crate) fn active_fixed_tdp_row(
+    pub(crate) fn active_fixed_tdp_row_staged(
         soc: &SocSpec,
         workload_type: WorkloadType,
         ars: &[ApplicationRatio],
@@ -574,17 +599,15 @@ impl Scenario {
         }
     }
 
-    /// Row-at-a-time counterpart of [`Scenario::idle_staged`]: builds the
+    /// Row-at-a-time counterpart of [`Scenario::idle`]: builds the
     /// scenarios of one idle row (fixed SoC; package C-state varying). The
-    /// fmin V/f interpolation — state-independent, since every idle state
-    /// runs its powered rails at the minimum setpoint — and the name suffix
-    /// are hoisted out of the per-state loop; every returned scenario is
-    /// bit-identical to [`Scenario::idle_staged`]'s.
-    pub(crate) fn idle_row(
-        soc: &SocSpec,
-        states: &[PackageCState],
-        virus: &[DomainTable<DomainLoad>; 2],
-    ) -> Vec<Self> {
+    /// fmin virus tables, the fmin V/f interpolation — state-independent,
+    /// since every idle state runs its powered rails at the minimum
+    /// setpoint — and the name suffix are hoisted out of the per-state
+    /// loop; every returned scenario is bit-identical to
+    /// [`Scenario::idle`]'s.
+    pub fn idle_row(soc: &SocSpec, states: &[PackageCState]) -> Vec<Self> {
+        let virus = Self::fmin_virus_loads(soc);
         let fmin_voltage = DomainTable::from_fn(|kind| {
             let cfg = soc.domain(kind);
             cfg.vf.voltage_at(cfg.fmin)
@@ -611,7 +634,7 @@ impl Scenario {
                     tj: pdn_proc::soc::TJ_BATTERY_LIFE,
                     tdp: soc.tdp,
                     loads,
-                    virus: *virus,
+                    virus,
                     virus_margin: 1.0,
                 }
             })
@@ -986,8 +1009,10 @@ mod tests {
                 let ars: Vec<_> = (1..=9).map(|i| ar(f64::from(i) * 0.1)).collect();
                 let suffixes: Vec<_> = ars.iter().map(|&a| Scenario::ar_suffix(a)).collect();
                 let row =
-                    Scenario::active_fixed_tdp_row(&soc, wl, &ars, &suffixes, t, &virus).unwrap();
+                    Scenario::active_fixed_tdp_row_staged(&soc, wl, &ars, &suffixes, t, &virus)
+                        .unwrap();
                 assert_eq!(row.len(), ars.len());
+                assert_eq!(row, Scenario::active_fixed_tdp_row(&soc, wl, &ars).unwrap());
                 for (got, &a) in row.iter().zip(&ars) {
                     let point = Scenario::active_fixed_tdp_staged(&soc, wl, a, t, virus).unwrap();
                     assert_eq!(*got, point, "{wl} tdp={tdp} ar={a}");
@@ -1004,7 +1029,7 @@ mod tests {
     fn idle_row_matches_per_point_constructor_bit_for_bit() {
         let soc = client_soc(Watts::new(25.0));
         let virus = Scenario::fmin_virus_loads(&soc);
-        let row = Scenario::idle_row(&soc, &PackageCState::ALL, &virus);
+        let row = Scenario::idle_row(&soc, &PackageCState::ALL);
         assert_eq!(row.len(), PackageCState::ALL.len());
         for (got, &state) in row.iter().zip(PackageCState::ALL.iter()) {
             assert_eq!(*got, Scenario::idle_staged(&soc, state, virus));
