@@ -2,13 +2,16 @@
 //! work-stealing scheduler must produce bit-identical results for every
 //! worker count, on the grids the figure binaries actually sweep.
 
+use flexwatts::{FlexWattsPdn, PdnMode};
 use pdn_bench::fig4::PANEL_TDPS;
 use pdn_bench::suite::{five_pdns, ARS, TDPS};
 use pdn_proc::PackageCState;
 use pdn_units::ApplicationRatio;
 use pdn_workload::WorkloadType;
 use pdnspot::batch::{evaluate, evaluate_delta, BatchOutcome, ClientSoc};
-use pdnspot::{EngineConfig, ModelParams, Pdn, Scenario, SweepGrid, Workers};
+use pdnspot::{
+    EngineConfig, ModelParams, Pdn, PdnError, PdnEvaluation, Scenario, SweepGrid, Workers,
+};
 use proptest::prelude::*;
 
 fn cfg(workers: Workers) -> EngineConfig {
@@ -79,6 +82,40 @@ fn named_worker_counts_are_bit_identical_on_figure_grids() {
     }
 }
 
+/// Every number of an evaluation as raw bits, so equality means bit
+/// identity.
+fn evaluation_bits(e: &PdnEvaluation) -> Vec<u64> {
+    let b = &e.breakdown;
+    let mut bits: Vec<u64> = [
+        e.nominal_power.get(),
+        e.input_power.get(),
+        e.etee.get(),
+        b.vr_loss.get(),
+        b.conduction_compute.get(),
+        b.conduction_sa_io.get(),
+        b.other.get(),
+        e.chip_input_current.get(),
+    ]
+    .iter()
+    .map(|v| v.to_bits())
+    .collect();
+    for rail in &e.rails {
+        bits.extend(
+            [rail.voltage.get(), rail.current.get(), rail.input_power.get()].map(f64::to_bits),
+        );
+        bits.push(rail.efficiency.map_or(u64::MAX, |eff| eff.get().to_bits()));
+    }
+    bits
+}
+
+/// The per-point error under the batch engine's lattice-coordinate wrapper.
+fn lattice_cause(e: PdnError) -> PdnError {
+    match e {
+        PdnError::Lattice { source, .. } => *source,
+        other => other,
+    }
+}
+
 /// A random sub-grid of the paper's axes: any non-empty TDP subset, any
 /// workload-type subset, any AR subset, any idle-state subset — as long
 /// as the grid has at least one point.
@@ -112,9 +149,10 @@ proptest! {
 
     /// The row-kernel batch path equals the scalar per-point path bit for
     /// bit on any grid shape (random row lengths along both the AR and
-    /// idle-state axes) and any worker count: every evaluation matches
-    /// `Pdn::evaluate` on a scenario built by the unstaged per-point
-    /// constructor.
+    /// idle-state axes) and any worker count, for every topology that
+    /// overrides `Pdn::evaluate_row`: every result matches `Pdn::evaluate`
+    /// on a scenario built by the unstaged per-point constructor, down to
+    /// the error when there is one.
     #[test]
     fn row_kernels_match_scalar_per_point_on_random_grids(
         grid in grid_strategy(),
@@ -122,8 +160,12 @@ proptest! {
     ) {
         let params = ModelParams::paper_defaults();
         let ivr = pdnspot::IvrPdn::new(params.clone());
-        let ldo = pdnspot::LdoPdn::new(params);
-        let pdns: [&dyn Pdn; 2] = [&ivr, &ldo];
+        let mbvr = pdnspot::MbvrPdn::new(params.clone());
+        let ldo = pdnspot::LdoPdn::new(params.clone());
+        let iplus = pdnspot::IPlusMbvrPdn::new(params.clone());
+        let fw_ivr = FlexWattsPdn::new(params.clone(), PdnMode::IvrMode);
+        let fw_ldo = FlexWattsPdn::new(params, PdnMode::LdoMode);
+        let pdns: [&dyn Pdn; 6] = [&ivr, &mbvr, &ldo, &iplus, &fw_ivr, &fw_ldo];
         let run = evaluate(&pdns, &grid, &ClientSoc, &cfg(Workers::Fixed(w)), None);
         prop_assert_eq!(run.stats.failed, 0);
         for eval in &run.evaluations {
@@ -143,18 +185,13 @@ proptest! {
                     Scenario::idle(&soc, grid.idle_states()[state_idx])
                 }
             };
-            let scalar = pdns[eval.pdn_idx].evaluate(&scenario).unwrap();
-            let row = eval.result.as_ref().unwrap();
+            let scalar = pdns[eval.pdn_idx].evaluate(&scenario);
+            let row = eval.result.clone().map_err(lattice_cause);
             prop_assert_eq!(
-                row.etee.get().to_bits(),
-                scalar.etee.get().to_bits(),
-                "EtEE bits at {:?}",
-                eval.point
-            );
-            prop_assert_eq!(
-                row.input_power.get().to_bits(),
-                scalar.input_power.get().to_bits(),
-                "input power bits at {:?}",
+                row.map(|e| evaluation_bits(&e)),
+                scalar.map(|e| evaluation_bits(&e)),
+                "{} at {:?}",
+                pdns[eval.pdn_idx].kind(),
                 eval.point
             );
         }

@@ -15,12 +15,9 @@ use pdn_proc::{DomainKind, DomainTable};
 use pdn_units::{Amps, Volts, Watts};
 use pdn_vr::{presets, BuckConverter, OperatingPoint, VoltageRegulator};
 use pdnspot::etee::{
-    board_vr_stage, load_line_domain_stage, load_line_stage, LossBreakdown, RowStage, StagedPoint,
-    Stager,
+    board_vr_stage, load_line_domain_stage, load_line_stage, LossBreakdown, RowStage, Stager,
 };
-use pdnspot::topology::{
-    dedicated_rail_flow_with, pdn_memo_token, power_gate_impedance, OffchipRail,
-};
+use pdnspot::topology::{dedicated_rail_flow, pdn_memo_token, power_gate_impedance, OffchipRail};
 use pdnspot::{DirectStager, ModelParams, Pdn, PdnError, PdnEvaluation, PdnKind, Scenario};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -281,7 +278,7 @@ impl FlexWattsPdn {
             (DomainKind::Sa, p.flexwatts_loadlines.sa, &self.sa_vr),
             (DomainKind::Io, p.flexwatts_loadlines.io, &self.io_vr),
         ] {
-            let (pin, overhead, conduction, vr_loss, rail) = dedicated_rail_flow_with(
+            let (pin, overhead, conduction, vr_loss, rail) = dedicated_rail_flow(
                 scenario,
                 kind,
                 self.tob(),
@@ -315,14 +312,6 @@ impl Pdn for FlexWattsPdn {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.evaluate_with(scenario, &DirectStager)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
     }
 
     fn evaluate_row(
@@ -460,16 +449,6 @@ impl Pdn for FlexWattsAuto {
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         let ivr = self.ivr.evaluate(scenario)?;
         let ldo = self.ldo.evaluate(scenario)?;
-        Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let ivr = self.ivr.evaluate_with(scenario, staged)?;
-        let ldo = self.ldo.evaluate_with(scenario, staged)?;
         Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
     }
 
@@ -620,38 +599,6 @@ mod tests {
         other.leakage_exponent += 0.25;
         let perturbed = FlexWattsPdn::new(other, PdnMode::IvrMode);
         assert_ne!(perturbed.memo_token(), ivr.memo_token(), "params are part of the identity");
-    }
-
-    #[test]
-    fn staged_evaluation_is_bit_identical_to_direct() {
-        let params = ModelParams::paper_defaults();
-        let pdns: [&dyn Pdn; 3] = [
-            &FlexWattsPdn::new(params.clone(), PdnMode::IvrMode),
-            &FlexWattsPdn::new(params.clone(), PdnMode::LdoMode),
-            &FlexWattsAuto::new(params),
-        ];
-        let soc = client_soc(Watts::new(18.0));
-        let scenarios = [
-            scenario(4.0, WorkloadType::SingleThread, 0.6),
-            scenario(18.0, WorkloadType::MultiThread, 0.8),
-            scenario(50.0, WorkloadType::Graphics, 0.4),
-            Scenario::idle(&soc, PackageCState::C2),
-        ];
-        for s in &scenarios {
-            // One shared staging cache per "lattice point", as the batch
-            // engine uses it: every PDN reuses the same partial stages.
-            let staged = StagedPoint::new();
-            for pdn in pdns {
-                let direct = pdn.evaluate(s).unwrap();
-                let shared = pdn.evaluate_staged(s, &staged).unwrap();
-                assert_eq!(
-                    direct.etee.get().to_bits(),
-                    shared.etee.get().to_bits(),
-                    "staging must not change a single bit"
-                );
-                assert_eq!(direct.input_power.get().to_bits(), shared.input_power.get().to_bits());
-            }
-        }
     }
 
     #[test]

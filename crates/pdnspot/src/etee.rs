@@ -23,7 +23,6 @@ use pdn_units::{Amps, ApplicationRatio, Efficiency, Ohms, Volts, Watts};
 use pdn_vr::{BuckConverter, OperatingPoint, VoltageRegulator, VrPowerState};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// A load after a voltage-raising stage: new power demand and rail voltage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -263,18 +262,17 @@ pub fn board_vr_stage(
 ///
 /// The guardband, power-gate, and virus-headroom stages depend only on the
 /// scenario and a handful of electrical parameters — not on which topology
-/// is asking. Topologies route those stages through a `Stager` so a batch
-/// sweep can hand every PDN at a lattice point the same [`StagedPoint`]
-/// and compute each partial once instead of once per PDN.
+/// is asking. Topologies route those stages through a `Stager` so a row
+/// evaluation can compute each partial once per row ([`RowStage`]) instead
+/// of once per point.
 ///
 /// Every method's default computes directly via the pure stage functions,
 /// so [`DirectStager`] is a zero-cost pass-through and any caching
 /// implementation returning the same bits is observationally identical.
 ///
-/// The trait is deliberately **not** `Sync`: sharing a stager across
-/// threads is the caller's choice ([`StagedPoint`] locks internally and is
-/// shared), while the per-row stager of the batch kernel ([`RowStage`]) is
-/// owned by the single worker that claimed the row and stays lock-free.
+/// The trait is deliberately **not** `Sync`: the per-row stager of the
+/// batch kernel ([`RowStage`]) is owned by the single worker that claimed
+/// the row and stays lock-free.
 pub trait Stager {
     /// The power-independent Eq. 2 multiplier for one domain's load
     /// ([`pdn_proc::guardband_factor`]).
@@ -346,82 +344,6 @@ fn domain_seq_key(domains: &[DomainKind]) -> u64 {
     domains.iter().fold(0u64, |key, &k| (key << 4) | (k as u64 + 1))
 }
 
-/// Memoized PDN-independent stage results for **one** lattice point.
-///
-/// Caches are keyed by the exact `f64` bit patterns of the stage inputs
-/// (tolerance band, gate impedance, leakage exponent) plus the domain, so
-/// a hit returns precisely the bits a fresh computation would produce —
-/// PDNs that share a parameter value (e.g. the MBVR and LDO 18 mV TOB, or
-/// the universal 0.5 mΩ power gate) share the work, PDNs that differ miss
-/// and compute their own entry.
-///
-/// The caller must create one `StagedPoint` per scenario and never reuse
-/// it across scenarios: the scenario itself is deliberately *not* part of
-/// the cache keys (the batch engine owns one `StagedPoint` per lattice
-/// point, pinned to that point's scenario).
-#[derive(Debug, Default)]
-pub struct StagedPoint {
-    guardbands: StageCache<(u8, u64, u64)>,
-    gated: StageCache<(u8, u64, u64, u64)>,
-    headrooms: Mutex<Vec<(u64, Watts)>>,
-}
-
-/// A tiny linear-scan cache from an exact-bits key to a staged load.
-type StageCache<K> = Mutex<Vec<(K, StagedLoad)>>;
-
-impl StagedPoint {
-    /// An empty staging cache for one lattice point.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Stager for StagedPoint {
-    fn guardband(&self, kind: DomainKind, load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
-        let key = (kind as u8, tob.get().to_bits(), delta.to_bits());
-        let mut cache = self.guardbands.lock().expect("staging cache poisoned");
-        if let Some((_, hit)) = cache.iter().find(|(k, _)| *k == key) {
-            return *hit;
-        }
-        let value = guardband_stage(load, tob, delta);
-        cache.push((key, value));
-        value
-    }
-
-    fn gated(
-        &self,
-        kind: DomainKind,
-        load: &DomainLoad,
-        tob: Volts,
-        r_pg: Ohms,
-        delta: f64,
-    ) -> StagedLoad {
-        let key = (kind as u8, tob.get().to_bits(), r_pg.get().to_bits(), delta.to_bits());
-        if let Some((_, hit)) =
-            self.gated.lock().expect("staging cache poisoned").iter().find(|(k, _)| *k == key)
-        {
-            return *hit;
-        }
-        // Not held across the guardband call: both caches lock briefly and
-        // independently. A racing duplicate insert is benign (same bits;
-        // linear scan returns the first).
-        let value = power_gate_stage(self.guardband(kind, load, tob, delta), load, r_pg, delta);
-        self.gated.lock().expect("staging cache poisoned").push((key, value));
-        value
-    }
-
-    fn virus_headroom(&self, scenario: &Scenario, domains: &[DomainKind]) -> Watts {
-        let key = domain_seq_key(domains);
-        let mut cache = self.headrooms.lock().expect("staging cache poisoned");
-        if let Some((_, hit)) = cache.iter().find(|(k, _)| *k == key) {
-            return *hit;
-        }
-        let value = scenario.rail_virus_headroom(domains);
-        cache.push((key, value));
-        value
-    }
-}
-
 /// Packs the powered flags of a scenario's six domains into a bitmask, in
 /// canonical domain order. The only load field [`Scenario::rail_virus_headroom`]
 /// reads is `powered`, so the mask (plus the domain sequence) keys a
@@ -434,10 +356,9 @@ fn powered_mask(scenario: &Scenario) -> u64 {
 /// of scenarios that share every sweep coordinate except one (application
 /// ratio along an active row, package C-state along an idle row).
 ///
-/// Unlike [`StagedPoint`], which pins a single scenario and keys only on
-/// stage parameters, a row stager is shared across the scenarios of its
-/// row, so each cache keys on the exact bit patterns of *every* input the
-/// staged computation reads:
+/// A row stager is shared across the scenarios of its row, so each cache
+/// keys on the exact bit patterns of *every* input the staged computation
+/// reads:
 ///
 /// - guardband factors key on `(V_NOM, FL, TOB, δ)` — along a row the
 ///   voltages and leakage fractions are sweep-invariant, so the whole row
@@ -726,66 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_point_matches_direct_stager_bit_for_bit() {
-        let soc = pdn_proc::client_soc(Watts::new(18.0));
-        let s = Scenario::active_fixed_tdp_frequency(
-            &soc,
-            pdn_workload::WorkloadType::MultiThread,
-            ApplicationRatio::new(0.6).unwrap(),
-        )
-        .unwrap();
-        let staged = StagedPoint::new();
-        let direct = DirectStager;
-        let tob = Volts::from_millivolts(18.0);
-        let r_pg = Ohms::from_milliohms(0.5);
-        for _ in 0..2 {
-            // Second iteration exercises the hit path of every cache.
-            for kind in DomainKind::ALL {
-                let l = s.load(kind);
-                let a = staged.guardband(kind, l, tob, 2.8);
-                let b = direct.guardband(kind, l, tob, 2.8);
-                assert_eq!(a.power.get().to_bits(), b.power.get().to_bits());
-                assert_eq!(a.voltage.get().to_bits(), b.voltage.get().to_bits());
-                let ga = staged.gated(kind, l, tob, r_pg, 2.8);
-                let gb = direct.gated(kind, l, tob, r_pg, 2.8);
-                assert_eq!(ga.power.get().to_bits(), gb.power.get().to_bits());
-            }
-            for domains in
-                [&[DomainKind::Core0, DomainKind::Core1, DomainKind::Llc][..], &[DomainKind::Sa]]
-            {
-                let a = staged.rail_virus_power(&s, domains, Watts::new(1.0));
-                let b = direct.rail_virus_power(&s, domains, Watts::new(1.0));
-                assert_eq!(a.get().to_bits(), b.get().to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn staged_point_distinguishes_stage_parameters() {
-        let soc = pdn_proc::client_soc(Watts::new(18.0));
-        let s = Scenario::active_fixed_tdp_frequency(
-            &soc,
-            pdn_workload::WorkloadType::MultiThread,
-            ApplicationRatio::new(0.6).unwrap(),
-        )
-        .unwrap();
-        let staged = StagedPoint::new();
-        let l = s.load(DomainKind::Core0);
-        let at_18 = staged.guardband(DomainKind::Core0, l, Volts::from_millivolts(18.0), 2.8);
-        let at_20 = staged.guardband(DomainKind::Core0, l, Volts::from_millivolts(20.0), 2.8);
-        assert_ne!(at_18.power, at_20.power, "different TOBs must not share a cache entry");
-        // Ordered sequence keys: distinct rails never collide.
-        assert_ne!(
-            super::domain_seq_key(&[DomainKind::Sa]),
-            super::domain_seq_key(&[DomainKind::Io])
-        );
-        assert_ne!(
-            super::domain_seq_key(&[DomainKind::Core0, DomainKind::Core1]),
-            super::domain_seq_key(&[DomainKind::Core1, DomainKind::Core0])
-        );
-    }
-
-    #[test]
     fn row_stage_matches_direct_stager_across_a_row() {
         // A RowStage shared across the scenarios of one row (and several
         // stage-parameter sets, standing in for several PDNs) must return
@@ -881,6 +742,32 @@ mod tests {
         assert_eq!(a.get().to_bits(), direct.virus_headroom(&shallow, &domains).get().to_bits());
         assert_eq!(b.get().to_bits(), direct.virus_headroom(&deep, &domains).get().to_bits());
         assert_ne!(a, b, "powered mask must separate idle states sharing a row stager");
+    }
+
+    #[test]
+    fn row_stage_keys_on_stage_parameters_and_domain_order() {
+        let soc = pdn_proc::client_soc(Watts::new(18.0));
+        let s = Scenario::active_fixed_tdp_frequency(
+            &soc,
+            pdn_workload::WorkloadType::MultiThread,
+            ApplicationRatio::new(0.6).unwrap(),
+        )
+        .unwrap();
+        let row = RowStage::new();
+        let l = s.load(DomainKind::Core0);
+        let at_18 = row.guardband(DomainKind::Core0, l, Volts::from_millivolts(18.0), 2.8);
+        let at_20 = row.guardband(DomainKind::Core0, l, Volts::from_millivolts(20.0), 2.8);
+        assert_ne!(at_18.power, at_20.power, "different TOBs must not share a cache entry");
+        // Ordered sequence keys: distinct rails never collide, and the same
+        // domains in another order (another f64 summation order) never do.
+        assert_ne!(
+            super::domain_seq_key(&[DomainKind::Sa]),
+            super::domain_seq_key(&[DomainKind::Io])
+        );
+        assert_ne!(
+            super::domain_seq_key(&[DomainKind::Core0, DomainKind::Core1]),
+            super::domain_seq_key(&[DomainKind::Core1, DomainKind::Core0])
+        );
     }
 
     #[test]

@@ -68,9 +68,7 @@ pub mod validation;
 pub use batch::{BatchStats, ClientSoc, DeltaOutcome, GridDelta, SocProvider, SweepGrid, Workers};
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use error::{ErrorCode, PdnError};
-pub use etee::{
-    DirectStager, LossBreakdown, PdnEvaluation, RailReport, RowStage, StagedPoint, Stager,
-};
+pub use etee::{DirectStager, LossBreakdown, PdnEvaluation, RailReport, RowStage, Stager};
 pub use memo::{MemoCache, MemoEntry, MemoPdn, MemoStats};
 pub use params::ModelParams;
 pub use scenario::{DomainLoad, Scenario};

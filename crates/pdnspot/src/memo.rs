@@ -21,7 +21,7 @@
 //! code that only knows the trait.
 
 use crate::error::PdnError;
-use crate::etee::{PdnEvaluation, RowStage, StagedPoint};
+use crate::etee::{PdnEvaluation, RowStage};
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
 use crate::topology::{OffchipRail, Pdn, PdnKind};
@@ -232,37 +232,9 @@ impl MemoCache {
     ///
     /// Propagates the underlying evaluation error (never cached).
     pub fn evaluate(&self, pdn: &dyn Pdn, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_impl(pdn, scenario, None)
-    }
-
-    /// [`MemoCache::evaluate`] with a per-point [`StagedPoint`] forwarded
-    /// to the PDN on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying evaluation error (never cached).
-    pub fn evaluate_staged(
-        &self,
-        pdn: &dyn Pdn,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_impl(pdn, scenario, Some(staged))
-    }
-
-    fn evaluate_impl(
-        &self,
-        pdn: &dyn Pdn,
-        scenario: &Scenario,
-        staged: Option<&StagedPoint>,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let run = |staged: Option<&StagedPoint>| match staged {
-            Some(s) => pdn.evaluate_staged(scenario, s),
-            None => pdn.evaluate(scenario),
-        };
         let Some(token) = pdn.memo_token() else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return run(staged);
+            return pdn.evaluate(scenario);
         };
         let key = MemoKey { pdn: token, scenario: scenario.fingerprint() };
         if let Some(hit) = self
@@ -276,7 +248,7 @@ impl MemoCache {
             return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = run(staged)?;
+        let value = pdn.evaluate(scenario)?;
         self.insert(key, &value);
         Ok(value)
     }
@@ -460,14 +432,6 @@ impl Pdn for MemoPdn<'_> {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.cache.evaluate(self.inner, scenario)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.cache.evaluate_staged(self.inner, scenario, staged)
     }
 
     fn memo_token(&self) -> Option<u64> {

@@ -2,12 +2,12 @@
 //! domains, dedicated board VRs for SA and IO.
 
 use super::{
-    dedicated_rail_finish, dedicated_rail_lane, ivr_domain_stage_with, pdn_memo_token, Pdn, PdnKind,
+    dedicated_rail_finish, dedicated_rail_lane, ivr_domain_stage, pdn_memo_token, Pdn, PdnKind,
 };
 use crate::error::PdnError;
 use crate::etee::{
     board_vr_stage, load_line_domain_stages, load_line_stage, DirectStager, LossBreakdown,
-    PdnEvaluation, RailReport, RowStage, StagedPoint, Stager,
+    PdnEvaluation, RailReport, RowStage, Stager,
 };
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
@@ -83,7 +83,7 @@ impl IPlusMbvrPdn {
         let mut p_in = Watts::ZERO;
         for &kind in &DomainKind::WIDE_RANGE {
             let ivr = self.ivrs.get(kind).as_ref().expect("wide-range domains carry an IVR");
-            let stage = ivr_domain_stage_with(scenario, kind, p, ivr, stager)?;
+            let stage = ivr_domain_stage(scenario, kind, p, ivr, stager)?;
             p_in += stage.input_power;
             breakdown.other += stage.overhead;
             breakdown.vr_loss += stage.vr_loss;
@@ -106,7 +106,7 @@ impl IPlusMbvrPdn {
 
         // SA/IO: dedicated one-stage board rails (the MBVR flow), their
         // load-line fixed points advanced in lockstep. Per rail this is
-        // `dedicated_rail_flow_with` with the same operations in the same
+        // `dedicated_rail_flow` with the same operations in the same
         // order, so the bits are unchanged.
         let tob = p.ivr_tob.total();
         let r_pg = super::power_gate_impedance();
@@ -165,14 +165,6 @@ impl Pdn for IPlusMbvrPdn {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.evaluate_with(scenario, &DirectStager)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
     }
 
     fn evaluate_row(

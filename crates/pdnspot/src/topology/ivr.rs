@@ -1,11 +1,10 @@
 //! The IVR PDN (Fig. 1a; Eqs. 6–9): one board `V_IN` VR at 1.8 V feeding
 //! six on-die integrated voltage regulators.
 
-use super::{ivr_domain_stage_with, pdn_memo_token, Pdn, PdnKind};
+use super::{ivr_domain_stage, pdn_memo_token, Pdn, PdnKind};
 use crate::error::PdnError;
 use crate::etee::{
-    board_vr_stage, load_line_stage, DirectStager, LossBreakdown, PdnEvaluation, RowStage,
-    StagedPoint, Stager,
+    board_vr_stage, load_line_stage, DirectStager, LossBreakdown, PdnEvaluation, RowStage, Stager,
 };
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
@@ -60,17 +59,14 @@ impl IvrPdn {
         let mut breakdown = LossBreakdown::default();
         let mut p_in = Watts::ZERO;
         let mut p_in_compute = Watts::ZERO;
-        let mut p_in_sa_io = Watts::ZERO;
 
         for kind in DomainKind::ALL {
-            let stage = ivr_domain_stage_with(scenario, kind, p, self.ivrs.get(kind), stager)?;
+            let stage = ivr_domain_stage(scenario, kind, p, self.ivrs.get(kind), stager)?;
             p_in += stage.input_power;
             breakdown.other += stage.overhead;
             breakdown.vr_loss += stage.vr_loss;
             if kind.is_wide_range() {
                 p_in_compute += stage.input_power;
-            } else {
-                p_in_sa_io += stage.input_power;
             }
         }
 
@@ -82,7 +78,6 @@ impl IvrPdn {
             breakdown.conduction_compute += step.extra * compute_share;
             breakdown.conduction_sa_io += step.extra * (1.0 - compute_share);
         }
-        let _ = p_in_sa_io;
 
         // Eq. 9: the first-stage board VR.
         let (p_batt, rail) = board_vr_stage(
@@ -117,14 +112,6 @@ impl Pdn for IvrPdn {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.evaluate_with(scenario, &DirectStager)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
     }
 
     fn evaluate_row(

@@ -6,7 +6,7 @@ use super::{dedicated_rail_finish, dedicated_rail_lane, pdn_memo_token, Pdn, Pdn
 use crate::error::PdnError;
 use crate::etee::{
     board_vr_stage, load_line_domain_stages, DirectStager, LossBreakdown, PdnEvaluation,
-    RailLoadLine, RailReport, RowStage, StagedPoint, Stager,
+    RailLoadLine, RailReport, RowStage, Stager,
 };
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
@@ -191,14 +191,6 @@ impl Pdn for LdoPdn {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.evaluate_with(scenario, &DirectStager)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
     }
 
     fn evaluate_row(

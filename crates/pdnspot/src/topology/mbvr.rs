@@ -1,11 +1,11 @@
 //! The MBVR PDN (Fig. 1b; Eqs. 2–5): one-stage motherboard VRs per domain
 //! group, with on-die power gates.
 
-use super::{gated_domain_stage_with, pdn_memo_token, power_gate_impedance, Pdn, PdnKind};
+use super::{gated_domain_stage, pdn_memo_token, power_gate_impedance, Pdn, PdnKind};
 use crate::error::PdnError;
 use crate::etee::{
     board_vr_stage, load_line_domain_stages, DirectStager, LossBreakdown, PdnEvaluation,
-    RailLoadLine, RailReport, RowStage, StagedPoint, Stager, MAX_RAIL_LANES,
+    RailLoadLine, RailReport, RowStage, Stager, MAX_RAIL_LANES,
 };
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
@@ -114,7 +114,7 @@ impl MbvrPdn {
             let mut fl_weighted = 0.0;
             for &kind in &group.domains {
                 let (pwr, v, overhead) =
-                    gated_domain_stage_with(scenario, kind, tob, r_pg, p.leakage_exponent, stager);
+                    gated_domain_stage(scenario, kind, tob, r_pg, p.leakage_exponent, stager);
                 p_d += pwr;
                 breakdown.other += overhead;
                 fl_weighted += scenario.load(kind).leakage_fraction.get() * pwr.get();
@@ -187,14 +187,6 @@ impl Pdn for MbvrPdn {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
         self.evaluate_with(scenario, &DirectStager)
-    }
-
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        self.evaluate_with(scenario, staged)
     }
 
     fn evaluate_row(

@@ -27,8 +27,8 @@ pub use mbvr::MbvrPdn;
 
 use crate::error::PdnError;
 use crate::etee::{
-    board_vr_stage, load_line_domain_stage, DirectStager, LoadLineStep, PdnEvaluation,
-    RailLoadLine, RailReport, RowStage, StagedPoint, Stager,
+    board_vr_stage, load_line_domain_stage, LoadLineStep, PdnEvaluation, RailLoadLine, RailReport,
+    RowStage, Stager,
 };
 use crate::memo::Fnv1a;
 use crate::params::ModelParams;
@@ -97,35 +97,19 @@ pub trait Pdn: fmt::Debug + Send + Sync {
     /// point or the scenario is inconsistent.
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError>;
 
-    /// [`Pdn::evaluate`] with a shared per-point staging cache: topologies
-    /// that route their PDN-independent stages through a [`Stager`] reuse
-    /// partials other PDNs already computed at the same lattice point.
-    /// Must return exactly the bits [`Pdn::evaluate`] would; the default
-    /// ignores the cache and evaluates directly.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Pdn::evaluate`].
-    fn evaluate_staged(
-        &self,
-        scenario: &Scenario,
-        staged: &StagedPoint,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let _ = staged;
-        self.evaluate(scenario)
-    }
-
     /// Evaluates one lattice **row** — scenarios that share every sweep
     /// coordinate except one — in a single call, routing the
     /// PDN-independent stages through a shared [`RowStage`].
     ///
-    /// The batch engine hands every PDN of a row the same stager, so
-    /// guardband factors and virus headrooms are computed once per row
-    /// instead of once per point; the returned vector is index-aligned
-    /// with `scenarios` and must contain exactly the bits a per-point
-    /// [`Pdn::evaluate`] loop would produce. The default does that loop
-    /// directly (ignoring the stager), which keeps external [`Pdn`]
-    /// implementations correct by construction.
+    /// Guardband factors and virus headrooms are computed once per stager
+    /// instead of once per point. The batch engine gives each (PDN, row)
+    /// task its own stager; a caller may share one across PDNs that
+    /// evaluate the same row (the FlexWatts runtime shares one across its
+    /// two modes). The returned vector is index-aligned with `scenarios`
+    /// and must contain exactly the bits a per-point [`Pdn::evaluate`]
+    /// loop would produce. The default does that loop directly (ignoring
+    /// the stager), which keeps external [`Pdn`] implementations correct
+    /// by construction.
     fn evaluate_row(
         &self,
         scenarios: &[Scenario],
@@ -190,19 +174,9 @@ pub struct DomainStage {
 }
 
 /// Pushes one powered domain through tolerance band + on-die IVR
-/// conversion (the per-domain part of Eqs. 2 and 6).
+/// conversion (the per-domain part of Eqs. 2 and 6), with the guardband
+/// routed through a [`Stager`].
 pub fn ivr_domain_stage(
-    scenario: &Scenario,
-    kind: DomainKind,
-    params: &ModelParams,
-    ivr: &BuckConverter,
-) -> Result<DomainStage, PdnError> {
-    ivr_domain_stage_with(scenario, kind, params, ivr, &DirectStager)
-}
-
-/// [`ivr_domain_stage`] with the guardband routed through a [`Stager`], so
-/// batch sweeps share the Eq. 2 partial across PDNs with the same TOB.
-pub fn ivr_domain_stage_with(
     scenario: &Scenario,
     kind: DomainKind,
     params: &ModelParams,
@@ -230,20 +204,9 @@ pub fn ivr_domain_stage_with(
 }
 
 /// Pushes one powered domain through tolerance band + power gate, yielding
-/// the power it demands from a dedicated board rail (MBVR-style flow).
+/// the power it demands from a dedicated board rail (MBVR-style flow), with
+/// both stages routed through a [`Stager`].
 pub fn gated_domain_stage(
-    scenario: &Scenario,
-    kind: DomainKind,
-    tob: Volts,
-    r_pg: Ohms,
-    delta: f64,
-) -> (Watts, Volts, Watts) {
-    gated_domain_stage_with(scenario, kind, tob, r_pg, delta, &DirectStager)
-}
-
-/// [`gated_domain_stage`] with the guardband + gate routed through a
-/// [`Stager`].
-pub fn gated_domain_stage_with(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,
@@ -261,24 +224,10 @@ pub fn gated_domain_stage_with(
 
 /// A dedicated board rail serving one narrow-range domain (SA or IO):
 /// guardband + gate + load line + board VR (the MBVR flow of Eqs. 2–5
-/// applied to a single domain).
+/// applied to a single domain), with the PDN-independent stages routed
+/// through a [`Stager`].
 #[allow(clippy::too_many_arguments)]
 pub fn dedicated_rail_flow(
-    scenario: &Scenario,
-    kind: DomainKind,
-    tob: Volts,
-    r_pg: Ohms,
-    r_ll: Ohms,
-    vr: &BuckConverter,
-    params: &ModelParams,
-) -> Result<(Watts, Watts, Watts, Watts, RailReport), PdnError> {
-    dedicated_rail_flow_with(scenario, kind, tob, r_pg, r_ll, vr, params, &DirectStager)
-}
-
-/// [`dedicated_rail_flow`] with the PDN-independent stages routed through
-/// a [`Stager`].
-#[allow(clippy::too_many_arguments)]
-pub fn dedicated_rail_flow_with(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,
@@ -300,7 +249,7 @@ pub fn dedicated_rail_flow_with(
     dedicated_rail_finish(step, vr, params, overhead)
 }
 
-/// Front half of [`dedicated_rail_flow_with`] — guardband + power gate —
+/// Front half of [`dedicated_rail_flow`] — guardband + power gate —
 /// yielding the rail's load-line lane and the Eq. 2 overhead, so callers
 /// with several dedicated rails can advance the load-line fixed points in
 /// lockstep ([`crate::etee::load_line_domain_stages`]) instead of paying
@@ -315,7 +264,7 @@ pub(crate) fn dedicated_rail_lane(
     stager: &impl Stager,
 ) -> (RailLoadLine, Watts) {
     let (p_d, v_d, overhead) =
-        gated_domain_stage_with(scenario, kind, tob, r_pg, params.leakage_exponent, stager);
+        gated_domain_stage(scenario, kind, tob, r_pg, params.leakage_exponent, stager);
     let lane = RailLoadLine {
         power: p_d,
         voltage: v_d,
@@ -326,7 +275,7 @@ pub(crate) fn dedicated_rail_lane(
     (lane, overhead)
 }
 
-/// Back half of [`dedicated_rail_flow_with`]: the board VR behind an
+/// Back half of [`dedicated_rail_flow`]: the board VR behind an
 /// already-advanced load-line step.
 pub(crate) fn dedicated_rail_finish(
     step: LoadLineStep,

@@ -28,6 +28,7 @@ use crate::tables::EteeCurveSet;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdn_proc::PackageCState;
 use pdn_units::Grid2;
+use pdn_workload::tracefile::crc32;
 use pdn_workload::WorkloadType;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -263,19 +264,6 @@ fn state_from_key(key: u8) -> Option<PackageCState> {
         8 => PackageCState::C8,
         _ => return None,
     })
-}
-
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]

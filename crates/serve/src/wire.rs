@@ -13,8 +13,8 @@
 //! The codec mirrors the PMU firmware-image contract
 //! (`pdn_pmu::firmware`): decoding arbitrary bytes **never panics** —
 //! truncated, oversized, or bit-flipped input surfaces a typed
-//! [`FrameError`] instead. The same CRC-32 polynomial is used so both
-//! wire formats share one checksum idiom.
+//! [`FrameError`] instead. Both formats use the same CRC-32 function,
+//! [`crc32`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -30,21 +30,9 @@ pub const MAX_BODY: usize = 4 << 20;
 /// Bytes of framing overhead around a body (magic + length + CRC).
 pub const OVERHEAD: usize = 12;
 
-/// CRC-32 (IEEE 802.3, reflected) — the same algorithm the PMU
-/// firmware images use, kept here so the wire crate has no dependency
-/// on firmware internals.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3, reflected): the one checksum shared by wire
+/// frames, snapshots, trace files and PMU firmware images.
+pub use pdn_workload::tracefile::crc32;
 
 /// Why a frame could not be read or decoded.
 #[derive(Debug, PartialEq, Eq)]

@@ -74,8 +74,9 @@ const FOOTER_PAYLOAD: usize = 16;
 /// Read granularity for the streaming reader.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// CRC-32 (IEEE, reflected) — the same polynomial the firmware image
-/// trailer and the wire protocol use.
+/// CRC-32 (IEEE, reflected) — the one implementation shared by trace
+/// files, replay checkpoints, wire frames, daemon snapshots and PMU
+/// firmware images.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {
