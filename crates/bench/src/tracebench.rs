@@ -26,14 +26,14 @@ use flexwatts::{
     RuntimeReport, TraceReplayer,
 };
 use pdn_units::Watts;
+use pdn_workload::codec::ScratchDir;
 use pdn_workload::tracefile::{
     frame_spans, write_trace_chunked, DefectPolicy, FrameKind, TraceReader,
 };
 use pdn_workload::zoo;
 use pdnspot::{ModelParams, Workers};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::path::Path;
+use std::time::Instant;
 
 /// Intervals per scenario in quick mode (4 scenarios → 10 k total).
 const QUICK_PER_SCENARIO: usize = 2_500;
@@ -112,32 +112,6 @@ fn reports_bitwise_equal(a: &RuntimeReport, b: &RuntimeReport) -> bool {
         && a.time_in_mode == b.time_in_mode
         && a.predictor_evaluations == b.predictor_evaluations
         && a.protection_overrides == b.protection_overrides
-}
-
-/// A scratch directory owned by one benchmark run and removed when
-/// dropped. Its name joins the process id, the clock, and a per-process
-/// counter, and it is created fresh (never reused), so concurrent runs —
-/// in one process or several — never touch each other's files.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let nanos = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos());
-        let dir = std::env::temp_dir().join(format!(
-            "flexwatts-tracebench-{}-{nanos}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir(&dir).expect("fresh scratch dir");
-        Self(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Leg 1: zoo generation + chunked encode to disk.
@@ -296,8 +270,8 @@ fn poisoned_leg(rt: &FlexWattsRuntime, path: &Path, total: u64) -> (TraceLeg, u6
 /// Runs all four legs over one freshly encoded zoo trace.
 pub fn run(quick: bool) -> TraceBenchReport {
     let per_scenario = if quick { QUICK_PER_SCENARIO } else { FULL_PER_SCENARIO };
-    let dir = ScratchDir::new();
-    let path = dir.0.join("zoo.pdnt");
+    let dir = ScratchDir::new("flexwatts-tracebench").expect("fresh scratch dir");
+    let path = dir.path().join("zoo.pdnt");
     let rt = runtime();
 
     let (encode, file_bytes) = encode_leg(&path, per_scenario);

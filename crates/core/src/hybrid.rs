@@ -12,10 +12,9 @@ use pdn_units::{Amps, Efficiency, Volts};
 use pdn_vr::{
     presets, BuckConverter, LdoRegulator, OperatingPoint, Placement, VoltageRegulator, VrError,
 };
-use serde::{Deserialize, Serialize};
 
 /// The resources a hybrid VR shares between its two modes (§6, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedResources {
     /// The high-side NMOS power switch of the baseline IVR doubles as the
     /// LDO pass device.

@@ -8,7 +8,6 @@
 //! DVFS P-state transition may take.
 
 use pdn_units::{Seconds, SquareMillimeters};
-use serde::{Deserialize, Serialize};
 
 /// Additional die area of the LDO-mode circuitry per hybrid VR at 14 nm
 /// (§6: 0.041 mm²).
@@ -21,7 +20,7 @@ pub const DUAL_CORE_DIE: SquareMillimeters = SquareMillimeters::new(101.0);
 pub const QUAD_CORE_DIE: SquareMillimeters = SquareMillimeters::new(122.0);
 
 /// The §6 overhead summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadSummary {
     /// Extra die area for the LDO mode.
     pub die_area: SquareMillimeters,

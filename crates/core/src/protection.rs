@@ -15,10 +15,9 @@
 use crate::topology::{FlexWattsPdn, PdnMode};
 use pdn_units::Amps;
 use pdnspot::PdnError;
-use serde::{Deserialize, Serialize};
 
 /// The PMU's maximum-current protection for the shared `V_IN` rail.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxCurrentProtection {
     /// The `V_IN` rail's electrical design current.
     pub vin_iccmax: Amps,

@@ -3,10 +3,10 @@
 //! [`FlexWattsRuntime::run`] materialises a whole `Trace` in memory;
 //! real-scale trace files (millions of intervals) stream instead: a
 //! bounded-memory [`TraceReader`] feeds batches through the same serial
-//! replay loop `run` uses, and a [`ReplayCheckpoint`] written with the
-//! crash-safe tmp + fsync + rename discipline (the PR 6 snapshot rule)
-//! captures the complete replay state between intervals. A replay killed
-//! at any point resumes from its last checkpoint and finishes with a
+//! replay loop `run` uses, and a [`ReplayCheckpoint`] written crash-safely
+//! with [`pdn_workload::codec::write_atomic`] captures the complete
+//! replay state between intervals. A replay killed at any point resumes
+//! from its last checkpoint and finishes with a
 //! [`RuntimeReport`] **bitwise equal** to the uninterrupted run's: the
 //! checkpoint stores every accumulator as raw `f64` bits, the sensor
 //! bank's sample counter, and the mode/hysteresis state, so the resumed
@@ -24,15 +24,16 @@ use crate::switchflow::SwitchTransition;
 use crate::topology::PdnMode;
 use pdn_pmu::{ActivitySensorBank, CStateDriver};
 use pdn_units::Seconds;
-use pdn_workload::tracefile::{
-    crc32, fnv1a64, DefectCounts, DefectPolicy, TraceFileError, TraceReader,
+use pdn_workload::codec::{
+    crc32, split_crc, write_atomic, BodyReader, BodyWriter, DecodeError, Fnv1a,
 };
+use pdn_workload::tracefile::{DefectCounts, DefectPolicy, TraceFileError, TraceReader};
 use pdn_workload::TraceInterval;
 use pdnspot::batch::Workers;
 use pdnspot::PdnError;
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file magic: `"PDNC"`.
@@ -162,52 +163,45 @@ fn decode_mode(tag: u8) -> Option<PdnMode> {
     }
 }
 
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes.get(at..at + 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+impl From<DecodeError> for CheckpointDefect {
+    fn from(_: DecodeError) -> Self {
+        CheckpointDefect::Truncated
+    }
 }
 
 impl ReplayCheckpoint {
-    /// Serialises the checkpoint (hand-rolled codec; the vendored serde
-    /// is a no-op stub), CRC-32-trailed.
+    /// Serialises the checkpoint, CRC-32-trailed.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FIXED_LEN + self.switches.len() * SWITCH_LEN + 4);
-        out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.trace_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.config_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.intervals_done.to_le_bytes());
-        out.extend_from_slice(&self.sensor_samples.to_le_bytes());
-        out.push(mode_tag(self.mode));
-        out.extend_from_slice(&self.energy.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.oracle_energy.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.total_time.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&self.since_eval.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&self.evaluations.to_le_bytes());
-        out.extend_from_slice(&self.correct_predictions.to_le_bytes());
-        out.extend_from_slice(&self.protection_overrides.to_le_bytes());
+        let mut w = BodyWriter::with_capacity(FIXED_LEN + self.switches.len() * SWITCH_LEN + 4);
+        w.u32(CHECKPOINT_MAGIC);
+        w.u16(CHECKPOINT_VERSION);
+        w.u16(0); // reserved
+        w.u64(self.trace_fingerprint);
+        w.u64(self.config_fingerprint);
+        w.u64(self.intervals_done);
+        w.u64(self.sensor_samples);
+        w.u8(mode_tag(self.mode));
+        w.f64(self.energy);
+        w.f64(self.oracle_energy);
+        w.f64(self.total_time.get());
+        w.f64(self.since_eval.get());
+        w.u64(self.evaluations);
+        w.u64(self.correct_predictions);
+        w.u64(self.protection_overrides);
         for t in self.time_in_mode {
-            out.extend_from_slice(&t.get().to_bits().to_le_bytes());
+            w.f64(t.get());
         }
-        out.extend_from_slice(&self.driver_transitions.to_le_bytes());
-        out.extend_from_slice(&self.driver_transition_time.get().to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.switches.len() as u32).to_le_bytes());
+        w.u64(self.driver_transitions);
+        w.f64(self.driver_transition_time.get());
+        w.u32(self.switches.len() as u32);
         for s in &self.switches {
-            out.push(mode_tag(s.from));
-            out.push(mode_tag(s.to));
-            out.extend_from_slice(&s.c6_entry.get().to_bits().to_le_bytes());
-            out.extend_from_slice(&s.vr_adjust.get().to_bits().to_le_bytes());
-            out.extend_from_slice(&s.c6_exit.get().to_bits().to_le_bytes());
+            w.u8(mode_tag(s.from));
+            w.u8(mode_tag(s.to));
+            w.f64(s.c6_entry.get());
+            w.f64(s.vr_adjust.get());
+            w.f64(s.c6_exit.get());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        w.into_crc_trailed()
     }
 
     /// Decodes a checkpoint, verifying structure and CRC. Never panics
@@ -220,66 +214,54 @@ impl ReplayCheckpoint {
         if bytes.len() < FIXED_LEN + 4 {
             return Err(CheckpointDefect::Truncated);
         }
-        let magic = get_u32(bytes, 0).ok_or(CheckpointDefect::Truncated)?;
+        let mut r = BodyReader::new(bytes);
+        let magic = r.u32()?;
         if magic != CHECKPOINT_MAGIC {
             return Err(CheckpointDefect::BadMagic(magic));
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let version = r.u16()?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointDefect::UnsupportedVersion(version));
         }
-        let body_len = bytes.len() - 4;
-        let declared_crc = get_u32(bytes, body_len).ok_or(CheckpointDefect::Truncated)?;
-        let actual_crc = crc32(&bytes[..body_len]);
+        let (body, declared_crc) = split_crc(bytes)?;
+        let actual_crc = crc32(body);
         if declared_crc != actual_crc {
             return Err(CheckpointDefect::ChecksumMismatch {
                 expected: declared_crc,
                 found: actual_crc,
             });
         }
-        let mut at = 8;
-        let read_u64 = |at: &mut usize| -> Result<u64, CheckpointDefect> {
-            let v = get_u64(bytes, *at).ok_or(CheckpointDefect::Truncated)?;
-            *at += 8;
-            Ok(v)
-        };
-        let trace_fingerprint = read_u64(&mut at)?;
-        let config_fingerprint = read_u64(&mut at)?;
-        let intervals_done = read_u64(&mut at)?;
-        let sensor_samples = read_u64(&mut at)?;
-        let mode_byte = *bytes.get(at).ok_or(CheckpointDefect::Truncated)?;
-        at += 1;
-        let mode = decode_mode(mode_byte).ok_or(CheckpointDefect::Malformed("mode tag"))?;
-        let energy = f64::from_bits(read_u64(&mut at)?);
-        let oracle_energy = f64::from_bits(read_u64(&mut at)?);
-        let total_time = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let since_eval = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let evaluations = read_u64(&mut at)?;
-        let correct_predictions = read_u64(&mut at)?;
-        let protection_overrides = read_u64(&mut at)?;
-        let time_in_mode = [
-            Seconds::new(f64::from_bits(read_u64(&mut at)?)),
-            Seconds::new(f64::from_bits(read_u64(&mut at)?)),
-        ];
-        let driver_transitions = read_u64(&mut at)?;
-        let driver_transition_time = Seconds::new(f64::from_bits(read_u64(&mut at)?));
-        let count = get_u32(bytes, at).ok_or(CheckpointDefect::Truncated)? as usize;
-        at += 4;
-        if body_len != at + count * SWITCH_LEN {
+        let mut r = BodyReader::new(body);
+        r.take(8)?; // magic, version, reserved
+        let seconds = |r: &mut BodyReader<'_>| r.f64().map(Seconds::new);
+        let trace_fingerprint = r.u64()?;
+        let config_fingerprint = r.u64()?;
+        let intervals_done = r.u64()?;
+        let sensor_samples = r.u64()?;
+        let mode = decode_mode(r.u8()?).ok_or(CheckpointDefect::Malformed("mode tag"))?;
+        let energy = r.f64()?;
+        let oracle_energy = r.f64()?;
+        let total_time = seconds(&mut r)?;
+        let since_eval = seconds(&mut r)?;
+        let evaluations = r.u64()?;
+        let correct_predictions = r.u64()?;
+        let protection_overrides = r.u64()?;
+        let time_in_mode = [seconds(&mut r)?, seconds(&mut r)?];
+        let driver_transitions = r.u64()?;
+        let driver_transition_time = seconds(&mut r)?;
+        let count = r.u32()? as usize;
+        if r.remaining() != count * SWITCH_LEN {
             return Err(CheckpointDefect::Malformed("switch list length"));
         }
         let mut switches = Vec::with_capacity(count);
         for _ in 0..count {
-            let from = decode_mode(*bytes.get(at).ok_or(CheckpointDefect::Truncated)?)
-                .ok_or(CheckpointDefect::Malformed("switch from tag"))?;
-            let to = decode_mode(*bytes.get(at + 1).ok_or(CheckpointDefect::Truncated)?)
-                .ok_or(CheckpointDefect::Malformed("switch to tag"))?;
-            let mut field = at + 2;
-            let c6_entry = Seconds::new(f64::from_bits(read_u64(&mut field)?));
-            let vr_adjust = Seconds::new(f64::from_bits(read_u64(&mut field)?));
-            let c6_exit = Seconds::new(f64::from_bits(read_u64(&mut field)?));
+            let from =
+                decode_mode(r.u8()?).ok_or(CheckpointDefect::Malformed("switch from tag"))?;
+            let to = decode_mode(r.u8()?).ok_or(CheckpointDefect::Malformed("switch to tag"))?;
+            let c6_entry = seconds(&mut r)?;
+            let vr_adjust = seconds(&mut r)?;
+            let c6_exit = seconds(&mut r)?;
             switches.push(SwitchTransition { from, to, c6_entry, vr_adjust, c6_exit });
-            at += SWITCH_LEN;
         }
         Ok(Self {
             trace_fingerprint,
@@ -301,33 +283,15 @@ impl ReplayCheckpoint {
         })
     }
 
-    /// Persists the checkpoint crash-safely: unique tmp file, full
-    /// write, `fsync`, atomic rename over the destination, best-effort
-    /// parent-directory `fsync` — a crash mid-save leaves either the
-    /// old checkpoint or the new one, never a torn file.
+    /// Persists the checkpoint crash-safely with [`write_atomic`]: a
+    /// crash mid-save leaves either the old checkpoint or the new one,
+    /// never a torn file.
     ///
     /// # Errors
     ///
-    /// Any I/O failure along that sequence.
+    /// Any I/O failure along the way.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let bytes = self.encode();
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        write_atomic(path.as_ref(), &self.encode())
     }
 
     /// Loads and decodes a checkpoint file.
@@ -350,13 +314,13 @@ impl ReplayCheckpoint {
 /// SoC's TDP. Two runtimes with equal fingerprints replay a trace
 /// identically, so a checkpoint from one resumes on the other.
 pub fn runtime_fingerprint(rt: &FlexWattsRuntime) -> u64 {
-    let mut bytes = Vec::with_capacity(26);
-    bytes.extend_from_slice(&rt.config.sensor_seed.to_le_bytes());
-    bytes.push(mode_tag(rt.config.initial_mode));
-    bytes.push(u8::from(rt.config.max_current_protection));
-    bytes.extend_from_slice(&rt.predictor.evaluation_interval().get().to_bits().to_le_bytes());
-    bytes.extend_from_slice(&rt.soc.tdp.get().to_bits().to_le_bytes());
-    fnv1a64(&bytes)
+    let mut h = Fnv1a::new();
+    h.u64(rt.config.sensor_seed);
+    h.u8(mode_tag(rt.config.initial_mode));
+    h.u8(u8::from(rt.config.max_current_protection));
+    h.f64(rt.predictor.evaluation_interval().get());
+    h.f64(rt.soc.tdp.get());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -723,6 +687,7 @@ mod tests {
     use crate::runtime::RuntimeConfig;
     use pdn_proc::client_soc;
     use pdn_units::Watts;
+    use pdn_workload::codec::ScratchDir;
     use pdn_workload::tracefile::write_trace_chunked;
     use pdn_workload::zoo;
     use pdnspot::ModelParams;
@@ -742,12 +707,8 @@ mod tests {
         )
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("flexwatts-replay-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
+    fn temp_dir(tag: &str) -> ScratchDir {
+        ScratchDir::new(&format!("flexwatts-replay-{tag}")).expect("scratch dir")
     }
 
     fn reports_bitwise_equal(a: &RuntimeReport, b: &RuntimeReport) -> bool {
@@ -765,7 +726,7 @@ mod tests {
     fn streaming_replay_matches_in_memory_run_bitwise() {
         let dir = temp_dir("stream");
         let trace = zoo::zoo_mix(5, 30);
-        let path = dir.join("mix.pdnt");
+        let path = dir.path().join("mix.pdnt");
         write_trace_chunked(&path, &trace, 32).unwrap();
 
         let rt = runtime(18.0);
@@ -779,14 +740,13 @@ mod tests {
         assert!(reports_bitwise_equal(&in_memory, &streamed.report));
         assert_eq!(streamed.intervals_replayed, 120);
         assert_eq!(streamed.defects.total(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_round_trips_exactly() {
         let dir = temp_dir("roundtrip");
         let trace = zoo::zoo_mix(9, 20);
-        let path = dir.join("mix.pdnt");
+        let path = dir.path().join("mix.pdnt");
         write_trace_chunked(&path, &trace, 16).unwrap();
         let rt = runtime(18.0);
 
@@ -796,17 +756,16 @@ mod tests {
         let decoded = ReplayCheckpoint::decode(&cp.encode()).unwrap();
         assert_eq!(decoded, cp);
 
-        let cp_path = dir.join("replay.pdnc");
+        let cp_path = dir.path().join("replay.pdnc");
         cp.save(&cp_path).unwrap();
         assert_eq!(ReplayCheckpoint::load(&cp_path).unwrap(), cp);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn interrupted_replay_resumes_bit_identical() {
         let dir = temp_dir("resume");
         let trace = zoo::zoo_mix(3, 40);
-        let path = dir.join("mix.pdnt");
+        let path = dir.path().join("mix.pdnt");
         write_trace_chunked(&path, &trace, 32).unwrap();
         let rt = runtime(18.0);
 
@@ -814,7 +773,7 @@ mod tests {
 
         // Simulate a crash: replay 70 intervals with a checkpoint every
         // 25, then drop the replayer on the floor.
-        let cp_path = dir.join("replay.pdnc");
+        let cp_path = dir.path().join("replay.pdnc");
         {
             let mut reader = TraceReader::open(&path, DefectPolicy::Quarantine).unwrap();
             let fp = reader.fingerprint();
@@ -851,17 +810,16 @@ mod tests {
             "resumed replay must be bitwise equal to the uninterrupted one"
         );
         assert_eq!(resumed.intervals_replayed, cold.intervals_replayed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn damaged_or_foreign_checkpoints_degrade_to_cold_start() {
         let dir = temp_dir("degrade");
         let trace = zoo::zoo_mix(7, 15);
-        let path = dir.join("mix.pdnt");
+        let path = dir.path().join("mix.pdnt");
         write_trace_chunked(&path, &trace, 16).unwrap();
         let rt = runtime(18.0);
-        let cp_path = dir.join("replay.pdnc");
+        let cp_path = dir.path().join("replay.pdnc");
 
         let options = ReplayFileOptions {
             checkpoint: Some(CheckpointPlan {
@@ -899,7 +857,6 @@ mod tests {
             let run = rt.run_streaming(&path, &options).unwrap();
             assert_eq!(run.resumed_from, None);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -928,7 +885,7 @@ mod tests {
         let spans = frame_spans(&bytes).unwrap();
         let chunk = spans.iter().filter(|s| s.kind == FrameKind::Chunk).nth(2).unwrap();
         bytes[chunk.offset + 24] ^= 0x08;
-        let path = dir.join("poisoned.pdnt");
+        let path = dir.path().join("poisoned.pdnt");
         std::fs::write(&path, &bytes).unwrap();
 
         let rt = runtime(18.0);
@@ -945,6 +902,5 @@ mod tests {
             &ReplayFileOptions { policy: DefectPolicy::Strict, ..Default::default() },
         );
         assert!(matches!(strict, Err(ReplayError::Trace(TraceFileError::Defect(_)))));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,10 +19,9 @@ use crate::topology::PdnMode;
 use pdn_pmu::CStateDriver;
 use pdn_proc::PackageCState;
 use pdn_units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// The breakdown of one executed mode switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchTransition {
     /// The mode left behind.
     pub from: PdnMode,
@@ -44,7 +43,7 @@ impl SwitchTransition {
 }
 
 /// Executes mode switches through the package-C6 flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModeSwitchFlow {
     /// Off-chip VR slew rate (§6 cites 50 mV/µs).
     pub offchip_slew_v_per_us: f64,

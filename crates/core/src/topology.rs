@@ -19,11 +19,10 @@ use pdnspot::etee::{
 };
 use pdnspot::topology::{dedicated_rail_flow, pdn_memo_token, power_gate_impedance, OffchipRail};
 use pdnspot::{DirectStager, ModelParams, Pdn, PdnError, PdnEvaluation, PdnKind, Scenario};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two operating modes of the FlexWatts hybrid PDN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PdnMode {
     /// Two-stage conversion through the on-die buck personality
     /// (`V_IN` ≈ 1.8 V). Best at high power.

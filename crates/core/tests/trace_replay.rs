@@ -10,6 +10,7 @@ use flexwatts::{
 };
 use pdn_proc::client_soc;
 use pdn_units::Watts;
+use pdn_workload::codec::ScratchDir;
 use pdn_workload::tracefile::{write_trace_chunked, DefectPolicy, TraceReader};
 use pdn_workload::zoo;
 use pdnspot::{ModelParams, Workers};
@@ -41,18 +42,15 @@ fn runtime() -> &'static FlexWattsRuntime {
 /// The shared trace file plus the uninterrupted-run report every case
 /// compares against (cold replay uses a dedicated sensor bank, so the
 /// shared runtime stays untouched).
-fn reference() -> &'static (PathBuf, RuntimeReport) {
-    static REF: OnceLock<(PathBuf, RuntimeReport)> = OnceLock::new();
+fn reference() -> &'static (ScratchDir, PathBuf, RuntimeReport) {
+    static REF: OnceLock<(ScratchDir, PathBuf, RuntimeReport)> = OnceLock::new();
     REF.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("flexwatts-replay-prop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("mix.pdnt");
+        let dir = ScratchDir::new("flexwatts-replay-prop").expect("scratch dir");
+        let path = dir.path().join("mix.pdnt");
         write_trace_chunked(&path, &zoo::zoo_mix(11, 30), 32).unwrap();
         let cold = runtime().run_streaming(&path, &ReplayFileOptions::default()).unwrap();
         assert_eq!(cold.intervals_replayed, TRACE_INTERVALS);
-        (path, cold.report)
+        (dir, path, cold.report)
     })
 }
 
@@ -91,7 +89,7 @@ proptest! {
         crash_workers in 0usize..6,
         resume_workers in 0usize..6,
     ) {
-        let (path, cold) = reference();
+        let (_, path, cold) = reference();
         let cp_path = path.with_file_name(format!("kill{kill}-every{every}.pdnc"));
         let _ = std::fs::remove_file(&cp_path);
 
@@ -154,7 +152,7 @@ proptest! {
     fn checkpoint_bit_flips_are_rejected(offset in 0usize..1 << 16, bit in 0u8..8) {
         static ENCODED: OnceLock<Vec<u8>> = OnceLock::new();
         let encoded = ENCODED.get_or_init(|| {
-            let (path, _) = reference();
+            let (_, path, _) = reference();
             let mut reader = TraceReader::open(path, DefectPolicy::Quarantine).unwrap();
             let fp = reader.fingerprint();
             let mut replayer = TraceReplayer::new(runtime(), Workers::Serial);

@@ -16,14 +16,13 @@ use crate::error::PdnError;
 use crate::topology::{OffchipRail, Pdn};
 use pdn_proc::SocSpec;
 use pdn_units::{SquareMillimeters, Usd, Watts};
-use serde::{Deserialize, Serialize};
 
 /// TDP at or below which the platform uses a PMIC instead of discrete
 /// VRMs (§3.2).
 pub const PMIC_TDP_LIMIT: Watts = Watts::new(18.0);
 
 /// The Iccmax→(area, cost) catalogue, standing in for the TI vendor data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VrCatalog {
     /// Fixed board area per discrete rail (controller, layout keep-out).
     pub area_base_mm2: f64,
@@ -79,7 +78,7 @@ impl VrCatalog {
 }
 
 /// The board footprint of a PDN for one SoC design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Footprint {
     /// Total board area of the off-chip VR solution.
     pub area: SquareMillimeters,

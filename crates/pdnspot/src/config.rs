@@ -25,7 +25,6 @@
 use crate::batch::Workers;
 use crate::error::PdnError;
 use crate::memo::{MemoCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};
-use serde::{Deserialize, Serialize};
 
 /// Default bound on the serve daemon's admission queue
 /// ([`EngineConfig::admission_depth`]).
@@ -49,7 +48,7 @@ pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 2_000;
 /// is the validated all-defaults configuration. The struct is plain data
 /// — cloning is cheap and it is `Send + Sync`, so one instance can be
 /// shared by every worker of a daemon.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     workers: Workers,
     chunk_size: Option<usize>,

@@ -19,7 +19,6 @@
 //! (scenario, degradation, lattice coordinates) round-trip field by
 //! field, and leaf regulator/units errors round-trip as code + message.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable wire-level classification of a [`PdnError`].
@@ -29,7 +28,7 @@ use std::fmt;
 /// add new codes at the end instead. [`ErrorCode::from_wire`] maps
 /// unknown discriminants to [`ErrorCode::Unknown`] rather than failing,
 /// which keeps old clients compatible with new servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ErrorCode {
     /// A regulator rejected its operating point ([`PdnError::Vr`]).
@@ -152,7 +151,7 @@ impl fmt::Display for ErrorCode {
 }
 
 /// Error produced by PDNspot evaluations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PdnError {
     /// A regulator rejected its operating point.

@@ -21,11 +21,10 @@ use crate::scenario::{DomainLoad, Scenario};
 use pdn_proc::{guardband_power, DomainKind};
 use pdn_units::{Amps, ApplicationRatio, Efficiency, Ohms, Volts, Watts};
 use pdn_vr::{BuckConverter, OperatingPoint, VoltageRegulator, VrPowerState};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// A load after a voltage-raising stage: new power demand and rail voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagedLoad {
     /// Power demanded from the next stage.
     pub power: Watts,
@@ -58,7 +57,7 @@ pub fn power_gate_stage(
 }
 
 /// Result of a load-line compensation step (Eqs. 3–4 / 7–8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLineStep {
     /// Raised rail voltage `V_LL`.
     pub v_ll: Volts,
@@ -421,7 +420,7 @@ impl Stager for RowStage {
 }
 
 /// The Fig. 5 loss decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LossBreakdown {
     /// On-chip and off-chip VR conversion inefficiencies.
     pub vr_loss: Watts,
@@ -452,7 +451,7 @@ impl LossBreakdown {
 }
 
 /// Per-rail accounting of an evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RailReport {
     /// Rail name (matches Fig. 1 labels).
     pub name: String,
@@ -468,7 +467,7 @@ pub struct RailReport {
 }
 
 /// The result of evaluating a PDN on a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PdnEvaluation {
     /// Total nominal load power (`Σ P_NOM`, the ETEE numerator).
     pub nominal_power: Watts,

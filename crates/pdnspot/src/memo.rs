@@ -26,47 +26,10 @@ use crate::params::ModelParams;
 use crate::scenario::Scenario;
 use crate::topology::{OffchipRail, Pdn, PdnKind};
 use pdn_proc::SocSpec;
-use serde::{Deserialize, Serialize};
+use pdn_workload::codec::Fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Streaming 64-bit FNV-1a hasher used for memo keys and fingerprints.
-///
-/// Deterministic across runs and platforms (unlike `std`'s randomly seeded
-/// `DefaultHasher`), which keeps memo behaviour — and therefore hit-rate
-/// digests — reproducible.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Starts a new hash at the FNV offset basis.
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    /// Feeds one 64-bit word (little-endian byte order) into the hash.
-    pub fn write(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The `(PDN identity, scenario fingerprint)` cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,8 +41,8 @@ struct MemoKey {
 impl MemoKey {
     fn mixed(self) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(self.pdn);
-        h.write(self.scenario);
+        h.u64(self.pdn);
+        h.u64(self.scenario);
         h.finish()
     }
 }
@@ -138,7 +101,7 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 /// re-imported into any cache (regardless of shard count) lands via the
 /// same deterministic FNV-1a striping and is indistinguishable from a
 /// fresh insertion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoEntry {
     /// The PDN identity token half of the key.
     pub pdn_token: u64,
@@ -461,23 +424,6 @@ mod tests {
             ApplicationRatio::new(ar).unwrap(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn fnv1a_is_deterministic_and_order_sensitive() {
-        let mut a = Fnv1a::new();
-        a.write(1);
-        a.write(2);
-        let mut b = Fnv1a::new();
-        b.write(2);
-        b.write(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv1a::new();
-        c.write(1);
-        c.write(2);
-        assert_eq!(a.finish(), c.finish());
-        // The FNV-1a hash of the empty input is the offset basis.
-        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

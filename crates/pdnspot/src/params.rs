@@ -10,11 +10,11 @@
 use pdn_proc::power::LEAKAGE_VOLTAGE_EXPONENT;
 use pdn_units::{Ohms, Volts};
 use pdn_vr::{ToleranceBand, VrPowerState};
-use serde::{Deserialize, Serialize};
+use pdn_workload::codec::Fnv1a;
 
 /// Load-line impedances of one PDN topology (Table 2, "Load-line
 /// Impedance" row; milliohm values).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLines {
     /// Shared chip-input rail (V_IN), where present.
     pub vin: Ohms,
@@ -37,7 +37,7 @@ pub struct LoadLines {
 /// assert!((p.mbvr_loadlines.compute.milliohms() - 2.5).abs() < 1e-9);
 /// assert!((p.leakage_exponent - 2.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// Platform supply (battery/PSU) voltage presented to board VRs
     /// (7.2–20 V; default 7.2 V, the Fig. 3 sweep value).
@@ -76,28 +76,28 @@ impl ModelParams {
     /// when they are numerically indistinguishable to the power models.
     /// Used as the parameter half of [`crate::topology::pdn_memo_token`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::memo::Fnv1a::new();
-        h.write(self.supply_voltage.get().to_bits());
+        let mut h = Fnv1a::new();
+        h.u64(self.supply_voltage.get().to_bits());
         for ll in [
             &self.ivr_loadlines,
             &self.mbvr_loadlines,
             &self.ldo_loadlines,
             &self.flexwatts_loadlines,
         ] {
-            h.write(ll.vin.get().to_bits());
-            h.write(ll.compute.get().to_bits());
-            h.write(ll.sa.get().to_bits());
-            h.write(ll.io.get().to_bits());
+            h.u64(ll.vin.get().to_bits());
+            h.u64(ll.compute.get().to_bits());
+            h.u64(ll.sa.get().to_bits());
+            h.u64(ll.io.get().to_bits());
         }
         for tob in [&self.ivr_tob, &self.mbvr_tob, &self.ldo_tob] {
-            h.write(tob.controller.get().to_bits());
-            h.write(tob.current_sense.get().to_bits());
-            h.write(tob.ripple.get().to_bits());
+            h.u64(tob.controller.get().to_bits());
+            h.u64(tob.current_sense.get().to_bits());
+            h.u64(tob.ripple.get().to_bits());
         }
-        h.write(self.vin_level.get().to_bits());
-        h.write(self.leakage_exponent.to_bits());
-        h.write(self.ivr_lightload_cap as u64);
-        h.write(self.board_lightload_cap as u64);
+        h.u64(self.vin_level.get().to_bits());
+        h.u64(self.leakage_exponent.to_bits());
+        h.u64(self.ivr_lightload_cap as u64);
+        h.u64(self.board_lightload_cap as u64);
         h.finish()
     }
 

@@ -11,8 +11,8 @@ use crate::error::PdnError;
 use crate::params::ModelParams;
 use pdn_proc::{DomainKind, DomainState, DomainTable, HoistedDomainPower, PackageCState, SocSpec};
 use pdn_units::{ApplicationRatio, Celsius, Hertz, Ratio, Volts, Watts};
+use pdn_workload::codec::Fnv1a;
 use pdn_workload::WorkloadType;
-use serde::{Deserialize, Serialize};
 
 /// The fraction of TDP assumed to reach the loads when constructing
 /// budget-limited scenarios (a representative ETEE; the per-PDN frequency
@@ -24,7 +24,7 @@ pub const NOMINAL_BUDGET_FRACTION: f64 = 0.78;
 pub const TURBO_VIRUS_MARGIN: f64 = 1.3;
 
 /// Operating conditions of one domain within a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainLoad {
     /// Nominal power consumed by the domain (`P_NOM` in Fig. 1).
     pub nominal_power: Watts,
@@ -49,7 +49,7 @@ impl DomainLoad {
 }
 
 /// A complete evaluation scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable label.
     pub name: String,
@@ -719,20 +719,20 @@ impl Scenario {
     /// every PDN. The derived `name` label is excluded. Used as the
     /// scenario half of the [`crate::memo`] cache key.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::memo::Fnv1a::new();
-        h.write(self.workload_type as u64);
-        h.write(self.ar.get().to_bits());
-        h.write(match self.power_state {
+        let mut h = Fnv1a::new();
+        h.u64(self.workload_type as u64);
+        h.u64(self.ar.get().to_bits());
+        h.u64(match self.power_state {
             None => u64::MAX,
             Some(s) => s as u64,
         });
-        h.write(self.tj.get().to_bits());
-        h.write(self.tdp.get().to_bits());
+        h.u64(self.tj.get().to_bits());
+        h.u64(self.tdp.get().to_bits());
         let mut write_load = |l: &DomainLoad| {
-            h.write(l.nominal_power.get().to_bits());
-            h.write(l.voltage.get().to_bits());
-            h.write(l.leakage_fraction.get().to_bits());
-            h.write(u64::from(l.powered));
+            h.u64(l.nominal_power.get().to_bits());
+            h.u64(l.voltage.get().to_bits());
+            h.u64(l.leakage_fraction.get().to_bits());
+            h.u64(u64::from(l.powered));
         };
         for l in self.loads.values() {
             write_load(l);
@@ -742,7 +742,7 @@ impl Scenario {
                 write_load(l);
             }
         }
-        h.write(self.virus_margin.to_bits());
+        h.u64(self.virus_margin.to_bits());
         h.finish()
     }
 
@@ -770,9 +770,9 @@ impl Scenario {
 /// [`Scenario::active`] pays ≈ 28 µs of virus sizing.
 mod staging {
     use super::{DomainLoad, PdnError, Scenario};
-    use crate::memo::Fnv1a;
     use pdn_proc::{DomainTable, SocSpec};
     use pdn_units::ApplicationRatio;
+    use pdn_workload::codec::Fnv1a;
     use pdn_workload::WorkloadType;
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex, OnceLock};
@@ -844,28 +844,28 @@ mod staging {
     /// reads them.
     fn soc_fingerprint(soc: &SocSpec) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(soc.tdp.get().to_bits());
-        h.write(soc.tj_active.get().to_bits());
+        h.u64(soc.tdp.get().to_bits());
+        h.u64(soc.tj_active.get().to_bits());
         for (kind, cfg) in soc.domains() {
-            h.write(kind as u64);
-            h.write(cfg.fmin.get().to_bits());
-            h.write(cfg.fmax.get().to_bits());
+            h.u64(kind as u64);
+            h.u64(cfg.fmin.get().to_bits());
+            h.u64(cfg.fmax.get().to_bits());
             let p = &cfg.power;
-            h.write(p.ceff.to_bits());
-            h.write(p.leak_ref.get().to_bits());
-            h.write(p.vref.get().to_bits());
-            h.write(p.tref.get().to_bits());
-            h.write(p.leak_voltage_exp.to_bits());
-            h.write(p.leak_temp_coeff.to_bits());
-            h.write(p.guardband_leakage_fraction.get().to_bits());
-            h.write(p.clock_fraction.to_bits());
+            h.u64(p.ceff.to_bits());
+            h.u64(p.leak_ref.get().to_bits());
+            h.u64(p.vref.get().to_bits());
+            h.u64(p.tref.get().to_bits());
+            h.u64(p.leak_voltage_exp.to_bits());
+            h.u64(p.leak_temp_coeff.to_bits());
+            h.u64(p.guardband_leakage_fraction.get().to_bits());
+            h.u64(p.clock_fraction.to_bits());
             for (f, v) in cfg.vf.points() {
-                h.write(f.get().to_bits());
-                h.write(v.get().to_bits());
+                h.u64(f.get().to_bits());
+                h.u64(v.get().to_bits());
             }
             // Knot-list terminator: keeps differently shaped curves from
             // aliasing under concatenation.
-            h.write(u64::MAX);
+            h.u64(u64::MAX);
         }
         h.finish()
     }

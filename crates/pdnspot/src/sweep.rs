@@ -20,11 +20,10 @@ use crate::scenario::Scenario;
 use crate::topology::Pdn;
 use pdn_units::{ApplicationRatio, Watts};
 use pdn_workload::WorkloadType;
-use serde::{Deserialize, Serialize};
 
 /// An ETEE surface: one value per (TDP, AR) lattice point for one PDN and
 /// workload type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EteeSurface {
     /// The PDN's display name.
     pub pdn: String,
@@ -255,7 +254,7 @@ pub fn surfaces_delta(
 }
 
 /// The result of a crossover search between two PDNs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Crossover {
     /// `a` is at least as efficient as `b` over the whole range.
     AlwaysFirst,

@@ -30,19 +30,18 @@ use crate::etee::{
     board_vr_stage, load_line_domain_stage, LoadLineStep, PdnEvaluation, RailLoadLine, RailReport,
     RowStage, Stager,
 };
-use crate::memo::Fnv1a;
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
 use pdn_proc::{DomainKind, SocSpec};
 use pdn_units::{Amps, Ohms, Volts, Watts};
 use pdn_vr::{BuckConverter, OperatingPoint, VoltageRegulator};
+use pdn_workload::codec::Fnv1a;
 use pdn_workload::WorkloadType;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The PDN architectures compared throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PdnKind {
     /// Integrated voltage regulators (state of the art; Fig. 1a).
     Ivr,
@@ -71,7 +70,7 @@ impl fmt::Display for PdnKind {
 
 /// An off-chip voltage regulator with its design current, the input to the
 /// §3.2 board-area/BOM model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffchipRail {
     /// Rail name.
     pub name: String,
@@ -300,9 +299,9 @@ pub(crate) fn dedicated_rail_finish(
 /// inputs match, which is exactly the "identical evaluations" contract.
 pub fn pdn_memo_token(kind: PdnKind, flavor: u64, params: &ModelParams) -> u64 {
     let mut h = Fnv1a::new();
-    h.write(kind as u64);
-    h.write(flavor);
-    h.write(params.fingerprint());
+    h.u64(kind as u64);
+    h.u64(flavor);
+    h.u64(params.fingerprint());
     h.finish()
 }
 

@@ -24,11 +24,10 @@
 
 use crate::topology::PdnKind;
 use pdn_units::{Amps, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Decoupling capacitance available to one PDN, by placement (§2.1 lists
 /// board, package, and die reservoirs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecouplingBudget {
     /// Bulk capacitance on the motherboard (farads).
     pub board_f: f64,
@@ -48,7 +47,7 @@ impl DecouplingBudget {
 }
 
 /// The transient model of one PDN topology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientModel {
     /// Which PDN this budget describes.
     pub pdn: PdnKind,

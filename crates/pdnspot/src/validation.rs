@@ -30,7 +30,6 @@ use pdn_vr::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -215,7 +214,7 @@ fn perturb_surface(surface: &EfficiencySurface, spread: f64) -> EfficiencySurfac
 }
 
 /// One validation sample: predicted vs measured ETEE for one trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationSample {
     /// ETEE predicted by the analytical model.
     pub predicted: Efficiency,
@@ -231,7 +230,7 @@ impl ValidationSample {
 }
 
 /// The outcome of a validation campaign (the §4.3 accuracy statistics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// All samples, in evaluation order.
     pub samples: Vec<ValidationSample>,

@@ -9,7 +9,6 @@
 
 use pdn_units::{Ratio, Seconds, Watts};
 use pdn_workload::WorkloadType;
-use serde::{Deserialize, Serialize};
 
 /// The PMU's power-budget manager.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let split = pbm.compute_budget(WorkloadType::Graphics);
 /// assert!(split.gfx > split.cores, "graphics workloads feed the GPU");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBudgetManager {
     tdp: Watts,
     sa_io_reserve: Watts,
@@ -35,7 +34,7 @@ pub struct PowerBudgetManager {
 }
 
 /// A compute-budget split between cores and graphics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetSplit {
     /// Budget allocated to the CPU cores (and LLC).
     pub cores: Watts,

@@ -8,7 +8,6 @@
 
 use pdn_proc::PackageCState;
 use pdn_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Tracks the package power state and accounts transition latencies.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((exit.micros() - 30.0).abs() < 1e-9);
 /// assert!(driver.current().is_none());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CStateDriver {
     current: Option<PackageCState>,
     transitions: u64,

@@ -25,10 +25,9 @@
 //! ```
 
 use crate::tables::EteeCurveSet;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdn_proc::PackageCState;
 use pdn_units::Grid2;
-use pdn_workload::tracefile::crc32;
+use pdn_workload::codec::{crc32, le_u64s, split_crc, BodyReader, BodyWriter, DecodeError};
 use pdn_workload::WorkloadType;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,29 +94,34 @@ impl fmt::Display for FirmwareError {
 
 impl std::error::Error for FirmwareError {}
 
+/// Every cursor underrun while parsing an image is a truncation.
+impl From<DecodeError> for FirmwareError {
+    fn from(_: DecodeError) -> Self {
+        FirmwareError::Truncated
+    }
+}
+
 /// A serialised predictor curve set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FirmwareImage {
-    bytes: Bytes,
+    bytes: Vec<u8>,
 }
 
 impl FirmwareImage {
     /// Serialises a curve set into a firmware image.
     pub fn build(set: &EteeCurveSet) -> Self {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
+        let mut w = BodyWriter::new();
+        w.u32(MAGIC);
+        w.u16(VERSION);
         let sections = set.active.len() + set.idle.len();
-        buf.put_u16_le(sections as u16);
+        w.u16(sections as u16);
         for (wl, grid) in &set.active {
-            put_section(&mut buf, 0, workload_key(*wl), grid);
+            put_section(&mut w, 0, wl.tag(), grid);
         }
         for (state, grid) in &set.idle {
-            put_section(&mut buf, 1, state_key(*state), grid);
+            put_section(&mut w, 1, state.number(), grid);
         }
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
-        Self { bytes: buf.freeze() }
+        Self { bytes: w.into_crc_trailed() }
     }
 
     /// The raw image bytes (what would be flashed).
@@ -145,125 +149,76 @@ impl FirmwareImage {
         if data.len() < 12 {
             return Err(FirmwareError::Truncated);
         }
-        let (payload, crc_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+        let (payload, stored) = split_crc(data)?;
         let computed = crc32(payload);
         if stored != computed {
             return Err(FirmwareError::ChecksumMismatch { stored, computed });
         }
-        let mut buf = payload;
-        let magic = buf.get_u32_le();
+        let mut r = BodyReader::new(payload);
+        let magic = r.u32()?;
         if magic != MAGIC {
             return Err(FirmwareError::BadMagic(magic));
         }
-        let version = buf.get_u16_le();
+        let version = r.u16()?;
         if version != VERSION {
             return Err(FirmwareError::UnsupportedVersion(version));
         }
-        let sections = buf.get_u16_le() as usize;
+        let sections = r.u16()? as usize;
         let mut active = BTreeMap::new();
         let mut idle = BTreeMap::new();
         for _ in 0..sections {
-            if buf.remaining() < 6 {
-                return Err(FirmwareError::Truncated);
-            }
-            let tag = buf.get_u8();
-            let key = buf.get_u8();
-            let rows = buf.get_u16_le() as usize;
-            let cols = buf.get_u16_le() as usize;
-            let need = 8 * (rows + cols + rows * cols);
-            if buf.remaining() < need {
-                return Err(FirmwareError::Truncated);
-            }
-            let mut read_f64s =
-                |n: usize| -> Vec<f64> { (0..n).map(|_| buf.get_f64_le()).collect() };
-            let row_axis = read_f64s(rows);
-            let col_axis = read_f64s(cols);
-            let values = read_f64s(rows * cols);
+            let (tag, key) = (r.u8()?, r.u8()?);
+            let rows = r.u16()? as usize;
+            let cols = r.u16()? as usize;
+            // The whole section is bounds-checked before anything is
+            // allocated for it.
+            let section = r.take(8 * (rows + cols + rows * cols))?;
+            let mut words = le_u64s(section).map(f64::from_bits);
+            let row_axis: Vec<f64> = words.by_ref().take(rows).collect();
+            let col_axis: Vec<f64> = words.by_ref().take(cols).collect();
+            let values: Vec<f64> = words.collect();
             let grid =
                 Grid2::from_rows(row_axis, col_axis, values).map_err(FirmwareError::BadGrid)?;
             match tag {
                 0 => {
-                    let wl =
-                        workload_from_key(key).ok_or(FirmwareError::BadSection { tag, key })?;
+                    let wl = WorkloadType::from_tag(key)
+                        .ok_or(FirmwareError::BadSection { tag, key })?;
                     active.insert(wl, grid);
                 }
                 1 => {
-                    let state =
-                        state_from_key(key).ok_or(FirmwareError::BadSection { tag, key })?;
+                    let state = PackageCState::from_number(key)
+                        .ok_or(FirmwareError::BadSection { tag, key })?;
                     idle.insert(state, grid);
                 }
                 _ => return Err(FirmwareError::BadSection { tag, key }),
             }
         }
-        if buf.remaining() > 0 {
-            return Err(FirmwareError::TrailingBytes { extra: buf.remaining() });
+        if r.remaining() > 0 {
+            return Err(FirmwareError::TrailingBytes { extra: r.remaining() });
         }
         Ok(EteeCurveSet { active, idle })
     }
 }
 
-fn put_section(buf: &mut BytesMut, tag: u8, key: u8, grid: &Grid2) {
-    buf.put_u8(tag);
-    buf.put_u8(key);
+fn put_section(w: &mut BodyWriter, tag: u8, key: u8, grid: &Grid2) {
+    w.u8(tag);
+    w.u8(key);
     let (rows, cols) = grid.shape();
-    buf.put_u16_le(rows as u16);
-    buf.put_u16_le(cols as u16);
+    w.u16(rows as u16);
+    w.u16(cols as u16);
     for &r in grid.row_axis() {
-        buf.put_f64_le(r);
+        w.f64(r);
     }
     for &c in grid.col_axis() {
-        buf.put_f64_le(c);
+        w.f64(c);
     }
     for r in 0..rows {
         for c in 0..cols {
             let row = grid.row_axis()[r];
             let col = grid.col_axis()[c];
-            buf.put_f64_le(grid.eval(row, col));
+            w.f64(grid.eval(row, col));
         }
     }
-}
-
-fn workload_key(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
-fn workload_from_key(key: u8) -> Option<WorkloadType> {
-    Some(match key {
-        0 => WorkloadType::SingleThread,
-        1 => WorkloadType::MultiThread,
-        2 => WorkloadType::Graphics,
-        3 => WorkloadType::BatteryLife,
-        _ => return None,
-    })
-}
-
-fn state_key(state: PackageCState) -> u8 {
-    match state {
-        PackageCState::C0Min => 0,
-        PackageCState::C2 => 2,
-        PackageCState::C3 => 3,
-        PackageCState::C6 => 6,
-        PackageCState::C7 => 7,
-        PackageCState::C8 => 8,
-    }
-}
-
-fn state_from_key(key: u8) -> Option<PackageCState> {
-    Some(match key {
-        0 => PackageCState::C0Min,
-        2 => PackageCState::C2,
-        3 => PackageCState::C3,
-        6 => PackageCState::C6,
-        7 => PackageCState::C7,
-        8 => PackageCState::C8,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]

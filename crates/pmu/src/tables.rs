@@ -9,12 +9,11 @@ use pdn_proc::{PackageCState, SocSpec};
 use pdn_units::{ApplicationRatio, Efficiency, Grid2, UnitsError, Watts};
 use pdn_workload::WorkloadType;
 use pdnspot::{MemoCache, Pdn, PdnError, Scenario};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A complete ETEE curve set for one PDN (mode): the firmware payload of
 /// Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EteeCurveSet {
     /// (TDP, AR) → ETEE grids, one per active workload type.
     pub(crate) active: BTreeMap<WorkloadType, Grid2>,

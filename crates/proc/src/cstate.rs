@@ -13,12 +13,11 @@
 
 use crate::domain::DomainKind;
 use pdn_units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Package-level power states, ordered from shallowest to deepest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PackageCState {
     /// Active state with cores and graphics at their minimum frequencies
     /// (the paper's "C0MIN").
@@ -48,6 +47,25 @@ impl PackageCState {
         PackageCState::C7,
         PackageCState::C8,
     ];
+
+    /// The state's number in C-state naming (0 for `C0Min`, then 2, 3,
+    /// 6, 7, 8): the byte firmware images and `pdn-serve` frames store it
+    /// as.
+    pub fn number(self) -> u8 {
+        match self {
+            PackageCState::C0Min => 0,
+            PackageCState::C2 => 2,
+            PackageCState::C3 => 3,
+            PackageCState::C6 => 6,
+            PackageCState::C7 => 7,
+            PackageCState::C8 => 8,
+        }
+    }
+
+    /// The state a [`PackageCState::number`] byte stands for.
+    pub fn from_number(number: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.number() == number)
+    }
 
     /// Whether the compute domains (cores, LLC, graphics) are powered.
     pub fn compute_powered(self) -> bool {
@@ -114,7 +132,7 @@ impl fmt::Display for PackageCState {
 }
 
 /// Entry and exit latency of a package C-state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CStateLatency {
     /// Time to enter the state (context save, clock/voltage ramp-down).
     pub entry: Seconds,

@@ -1,14 +1,13 @@
 //! Processor power domains (Table 1 of the paper).
 
 use pdn_units::{ApplicationRatio, Hertz};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The six power domains of the modelled client processor (Table 1).
 ///
 /// The two CPU cores share one clock domain but have separate rails in the
 /// IVR and LDO PDNs (Fig. 1), so they are modelled as distinct domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainKind {
     /// CPU core 0 (0.8–4 GHz clock domain shared with core 1).
     Core0,
@@ -111,7 +110,7 @@ impl fmt::Display for DomainKind {
 /// assert!(*powered.get(DomainKind::Core0));
 /// assert_eq!(powered.values().filter(|&&p| p).count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainTable<T> {
     slots: [T; DomainKind::COUNT],
 }
@@ -177,7 +176,7 @@ impl<T> std::ops::IndexMut<DomainKind> for DomainTable<T> {
 }
 
 /// Runtime state of one domain: clock, activity, and whether it is powered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainState {
     /// Operating clock frequency (ignored when `powered` is false).
     pub frequency: Hertz,

@@ -9,7 +9,6 @@
 
 use crate::domain::DomainKind;
 use pdn_units::{ApplicationRatio, Celsius, Hertz, Ratio, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The paper's fitted leakage-vs-voltage exponent (δ ≈ 2.8, §3.1).
 pub const LEAKAGE_VOLTAGE_EXPONENT: f64 = 2.8;
@@ -82,7 +81,7 @@ pub const DEFAULT_CLOCK_FRACTION: f64 = 0.35;
 /// let p = cores.nominal_power(f, v, ApplicationRatio::POWER_VIRUS, Celsius::new(100.0));
 /// assert!(p.get() > 5.0, "a core at 4 GHz draws many watts: {p}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainPowerModel {
     /// Which domain this model describes.
     pub kind: DomainKind,

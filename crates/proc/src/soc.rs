@@ -10,14 +10,13 @@ use crate::domain::{DomainKind, DomainState, DomainTable};
 use crate::power::{DomainPowerModel, DEFAULT_CLOCK_FRACTION, LEAKAGE_VOLTAGE_EXPONENT};
 use crate::vf::VfCurve;
 use pdn_units::{Celsius, Hertz, Ratio, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Junction temperature used for battery-life evaluations (§7.1).
 pub const TJ_BATTERY_LIFE: Celsius = Celsius::new(50.0);
 
 /// Static configuration of one domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainConfig {
     /// The power model.
     pub power: DomainPowerModel,
@@ -122,7 +121,7 @@ impl HoistedDomainPower {
 ///     + soc.domain(DomainKind::Core1).nominal_power(&state, soc.tj_active);
 /// assert!(both_cores.get() > 20.0 && both_cores.get() < 40.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocSpec {
     /// Human-readable name.
     pub name: String,

@@ -7,7 +7,6 @@
 //! every TDP — and therefore one of the motivations for FlexWatts.
 
 use pdn_units::Watts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The TDP design points evaluated throughout the paper (Figs. 2 and 8).
@@ -47,7 +46,7 @@ impl std::error::Error for UnsupportedTdpError {}
 /// assert_eq!(ctdp.current(), Watts::new(25.0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigurableTdp {
     levels: Vec<Watts>,
     current: usize,

@@ -5,7 +5,6 @@
 //! we model it as a piecewise-linear curve over frequency.
 
 use pdn_units::{Curve1, Hertz, UnitsError, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A voltage/frequency curve for one domain.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let v_high = vf.voltage_at(Hertz::from_gigahertz(4.0));
 /// assert!(v_low < v_high);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VfCurve {
     curve: Curve1,
 }

@@ -18,7 +18,9 @@
 //! * **exactly-once** — every request fully sent on a connection that
 //!   stayed healthy receives exactly one response with its correlation
 //!   id; no id is ever answered twice, even on connections the server
-//!   evicted;
+//!   evicted; and the ledger closes: every accepted id is answered,
+//!   lost, or forgiven (unanswered on a connection that died), so
+//!   `accepted == answered - duplicated + lost + forgiven`;
 //! * **no escaped panics** — evaluation panics are isolated into
 //!   `Internal`/`Poisoned` error replies and the daemon keeps
 //!   accepting connections afterwards;
@@ -42,6 +44,7 @@ use crate::protocol::{
 use crate::server::{self, Client};
 use crate::snapshot;
 use crate::wire;
+use pdn_workload::codec::ScratchDir;
 use pdn_workload::tracefile::{encode_trace, frame_spans, DefectKind, FrameKind};
 use pdn_workload::{zoo, WorkloadType};
 use pdnspot::{EngineConfig, ErrorCode};
@@ -585,6 +588,11 @@ pub struct ChaosRunReport {
     pub answered: usize,
     /// Expected ids never answered on connections that stayed healthy.
     pub lost: usize,
+    /// Expected ids never answered on connections that died (killed,
+    /// evicted, or deliberately dropped): forgiven, but counted, so
+    /// the ledger `accepted == answered - duplicated + lost + forgiven`
+    /// closes.
+    pub forgiven: usize,
     /// Ids answered more than once (any connection).
     pub duplicated: usize,
     /// `Overloaded` replies that arrived without a `RetryAfter` hint.
@@ -644,8 +652,7 @@ pub struct ChaosCampaignReport {
 }
 
 impl ChaosCampaignReport {
-    /// Renders the report as the `BENCH_chaos.json` document
-    /// (hand-rolled: the vendored serde is a no-op stand-in).
+    /// Renders the report as the `BENCH_chaos.json` document.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"pdn-serve-chaos/v1\",\n  \"seeds\": [");
@@ -659,7 +666,7 @@ impl ChaosCampaignReport {
         for (i, run) in self.runs.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"seed\": {}, \"mix\": \"{}\", \"accepted\": {}, \"answered\": {}, \
-                 \"lost\": {}, \"duplicated\": {}, \"overloaded_without_hint\": {}, \
+                 \"lost\": {}, \"forgiven\": {}, \"duplicated\": {}, \"overloaded_without_hint\": {}, \
                  \"rejected\": {}, \"panics_isolated\": {}, \"quarantined\": {}, \"shed\": {}, \
                  \"deadline_expired\": {}, \"evictions\": {}, \"p99_us_storm\": {}, \
                  \"recovery_ms\": {}, \"survived\": {}}}{}\n",
@@ -668,6 +675,7 @@ impl ChaosCampaignReport {
                 run.accepted,
                 run.answered,
                 run.lost,
+                run.forgiven,
                 run.duplicated,
                 run.overloaded_without_hint,
                 run.rejected,
@@ -716,7 +724,7 @@ impl std::fmt::Display for ChaosCampaignReport {
         for run in &self.runs {
             writeln!(
                 f,
-                "  seed {:>10} {:>13}: {}/{} answered, lost {}, dup {}, \
+                "  seed {:>10} {:>13}: {}/{} answered, lost {}, forgiven {}, dup {}, \
                  panics {}, quarantined {}, shed {}, expired {}, evicted {}, \
                  p99 {}us, recovery {}ms — {}",
                 run.seed,
@@ -724,6 +732,7 @@ impl std::fmt::Display for ChaosCampaignReport {
                 run.answered,
                 run.accepted,
                 run.lost,
+                run.forgiven,
                 run.duplicated,
                 run.panics_isolated,
                 run.quarantined,
@@ -812,6 +821,7 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosRunReport, String> {
     let mut accepted = 0usize;
     let mut answered = 0usize;
     let mut lost = 0usize;
+    let mut forgiven = 0usize;
     let mut duplicated = 0usize;
     let mut overloaded_without_hint = 0usize;
     let mut rejected = 0usize;
@@ -827,9 +837,12 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosRunReport, String> {
                 duplicated += *count as usize - 1;
             }
         }
-        if !outcome.died {
-            lost +=
-                outcome.expected.iter().filter(|id| !outcome.received.contains_key(*id)).count();
+        let unanswered =
+            outcome.expected.iter().filter(|id| !outcome.received.contains_key(*id)).count();
+        if outcome.died {
+            forgiven += unanswered;
+        } else {
+            lost += unanswered;
         }
     }
     latencies.sort_unstable();
@@ -887,13 +900,22 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosRunReport, String> {
     handle.shutdown();
     handle.join();
 
-    let survived = survived_probe && lost == 0 && duplicated == 0 && overloaded_without_hint == 0;
+    // Every accepted id lands in exactly one column: answered (once),
+    // lost, or forgiven. A reply to an id that was never accepted
+    // breaks the identity.
+    let ledger_closes = accepted + duplicated == answered + lost + forgiven;
+    let survived = survived_probe
+        && ledger_closes
+        && lost == 0
+        && duplicated == 0
+        && overloaded_without_hint == 0;
     Ok(ChaosRunReport {
         seed: cfg.seed,
         mix: cfg.mix.name,
         accepted,
         answered,
         lost,
+        forgiven,
         duplicated,
         overloaded_without_hint,
         rejected,
@@ -937,8 +959,8 @@ impl Default for CampaignConfig {
 /// corrupted head, and total corruption must cold-start (never panic,
 /// never propagate an error as fatal).
 fn snapshot_corruption_leg(seed: u64) -> Result<bool, String> {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("pdn-serve-chaos-{}-{seed:x}.snapshot", std::process::id()));
+    let dir = ScratchDir::new("pdn-serve-chaos").map_err(|e| format!("scratch dir: {e}"))?;
+    let path = dir.path().join(format!("{seed:x}.snapshot"));
     let engine = ServeEngine::new(EngineConfig::default()).map_err(|e| format!("boot: {e}"))?;
     // A couple of evaluations so the snapshot has memo entries.
     for rank in 0..4 {
@@ -960,31 +982,13 @@ fn snapshot_corruption_leg(seed: u64) -> Result<bool, String> {
 
     // Truncate every generation: restore must report a cold start.
     for generation in 0..keep {
-        let gen_path = if generation == 0 {
-            path.clone()
-        } else {
-            let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-            name.push(format!(".{generation}"));
-            path.with_file_name(name)
-        };
+        let gen_path = snapshot::generation_path(&path, generation);
         if gen_path.exists() {
             std::fs::write(&gen_path, b"PDNK").map_err(|e| format!("truncate: {e}"))?;
         }
     }
     let (cold, cold_defects) = snapshot::restore_latest(&path, keep);
     let cold_start = cold.is_none() && !cold_defects.is_empty();
-
-    // Clean up all generations.
-    for generation in 0..keep {
-        let gen_path = if generation == 0 {
-            path.clone()
-        } else {
-            let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-            name.push(format!(".{generation}"));
-            path.with_file_name(name)
-        };
-        let _ = std::fs::remove_file(gen_path);
-    }
     Ok(fell_back && cold_start)
 }
 
@@ -1024,8 +1028,8 @@ fn trace_corruption_leg(seed: u64) -> Result<TraceCorruptionOutcome, String> {
         bytes[span.offset + span.len / 2] ^= 0xFF;
         poisoned_count += 1;
     }
-    let path =
-        std::env::temp_dir().join(format!("pdn-serve-chaos-{}-{seed:x}.pdnt", std::process::id()));
+    let dir = ScratchDir::new("pdn-serve-chaos").map_err(|e| format!("scratch dir: {e}"))?;
+    let path = dir.path().join(format!("{seed:x}.pdnt"));
     std::fs::write(&path, &bytes).map_err(|e| format!("write trace: {e}"))?;
 
     // Boot a daemon, then replay the poisoned file on a background
@@ -1085,7 +1089,6 @@ fn trace_corruption_leg(seed: u64) -> Result<TraceCorruptionOutcome, String> {
     let report = replay.join().map_err(|_| "replay thread panicked".to_string())??;
     handle.shutdown();
     handle.join();
-    let _ = std::fs::remove_file(&path);
 
     let exact = report.chunks_quarantined == poisoned_count
         && report.defects.count(DefectKind::ChecksumMismatch) == poisoned_count
@@ -1218,6 +1221,7 @@ mod tests {
                 accepted: 10,
                 answered: 10,
                 lost: 0,
+                forgiven: 0,
                 duplicated: 0,
                 overloaded_without_hint: 0,
                 rejected: 2,
@@ -1246,6 +1250,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"pdn-serve-chaos/v1\""));
         assert!(json.contains("\"survival_rate\": 1.000"));
         assert!(json.contains("\"mix\": \"disconnects\""));
+        assert!(json.contains("\"lost\": 0, \"forgiven\": 0, \"duplicated\": 0"));
         assert!(json.contains("\"snapshot_corruption_cold_start\": true"));
         assert!(json.contains("\"trace_corruption_served\": true"));
         assert!(json.contains("\"trace_chunks_quarantined\": 3"));

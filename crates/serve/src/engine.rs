@@ -23,6 +23,7 @@ use crate::snapshot::{self, Snapshot, SnapshotError};
 use flexwatts::{FlexWattsAuto, ModePredictor};
 use pdn_proc::client_soc;
 use pdn_units::{ApplicationRatio, Watts};
+use pdn_workload::codec::Fnv1a;
 use pdn_workload::WorkloadType;
 use pdnspot::memo::MemoEntry;
 use pdnspot::sweep::{self, EteeSurface};
@@ -61,23 +62,7 @@ pub const POISON_THRESHOLD: u32 = 2;
 /// FNV-1a over the body's discriminant and parameter bit patterns.
 #[must_use]
 pub fn poison_key(body: &RequestBody) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    struct Fnv(u64);
-    impl Fnv {
-        fn u8(&mut self, v: u8) {
-            self.0 = (self.0 ^ u64::from(v)).wrapping_mul(FNV_PRIME);
-        }
-        fn u64(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.u8(b);
-            }
-        }
-        fn f64(&mut self, v: f64) {
-            self.u64(v.to_bits());
-        }
-    }
-    let mut h = Fnv(FNV_OFFSET);
+    let mut h = Fnv1a::new();
     match body {
         RequestBody::Ping => h.u8(0),
         RequestBody::Eval { pdn, point } => {
@@ -92,7 +77,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
         RequestBody::Sample { pdn, workload, tdp, ar } => {
             h.u8(2);
             h.u8(pdn.to_wire());
-            h.u8(crate::protocol::workload_to_wire(*workload));
+            h.u8(workload.tag());
             h.f64(*tdp);
             h.f64(*ar);
         }
@@ -107,7 +92,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
             }
             h.u8(0xFF);
             for w in workloads {
-                h.u8(crate::protocol::workload_to_wire(*w));
+                h.u8(w.tag());
             }
             h.u8(0xFF);
             for &a in ars {
@@ -118,7 +103,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
             h.u8(4);
             h.u8(a.to_wire());
             h.u8(b.to_wire());
-            h.u8(crate::protocol::workload_to_wire(*workload));
+            h.u8(workload.tag());
             h.f64(*ar);
             h.f64(range.0);
             h.f64(range.1);
@@ -127,7 +112,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
         RequestBody::Snapshot => h.u8(6),
         RequestBody::Shutdown => h.u8(7),
     }
-    h.0
+    h.finish()
 }
 
 /// A fault the chaos harness injects ahead of real evaluation.

@@ -54,10 +54,11 @@ pub use chaos::{CampaignConfig, ChaosCampaignReport, ChaosConfig, ChaosMix, Chao
 pub use engine::{
     FaultInjector, InjectedFault, ServeEngine, TenantState, POISON_THRESHOLD, SERVE_ARS, SERVE_TDPS,
 };
+pub use pdn_workload::codec::DecodeError;
 pub use protocol::{
     PdnId, PointSpec, Request, RequestBody, Response, ResponseBody, ServeDetail, ServeError,
     PROTOCOL_VERSION,
 };
 pub use server::{Client, ClientError, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use wire::{DecodeError, FrameError};
+pub use wire::FrameError;

@@ -10,13 +10,13 @@
 //! ([`ServeDetail`]) to rebuild the library's [`PdnError`] losslessly
 //! on the client side.
 
-use crate::wire::{BodyReader, BodyWriter, DecodeError, MAX_LIST};
+use crate::wire::MAX_LIST;
 use pdn_proc::PackageCState;
 use pdn_units::{Amps, Efficiency, Volts, Watts};
+use pdn_workload::codec::{BodyReader, BodyWriter, DecodeError};
 use pdn_workload::WorkloadType;
 use pdnspot::sweep::{Crossover, EteeSurface};
 use pdnspot::{ErrorCode, LossBreakdown, PdnError, PdnEvaluation, RailReport};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Protocol revision carried by every request.
@@ -47,7 +47,7 @@ pub const MAX_AXIS: usize = 64;
 pub const MAX_ERROR_DEPTH: usize = 8;
 
 /// The five PDN topologies the daemon serves, by stable wire id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PdnId {
     /// Integrated voltage regulators (Fig. 1a).
     Ivr,
@@ -107,50 +107,16 @@ impl fmt::Display for PdnId {
     }
 }
 
-pub(crate) fn workload_to_wire(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
 fn workload_from_wire(tag: u8) -> Result<WorkloadType, DecodeError> {
-    match tag {
-        0 => Ok(WorkloadType::SingleThread),
-        1 => Ok(WorkloadType::MultiThread),
-        2 => Ok(WorkloadType::Graphics),
-        3 => Ok(WorkloadType::BatteryLife),
-        tag => Err(DecodeError::BadTag { what: "workload type", tag }),
-    }
-}
-
-fn cstate_to_wire(state: PackageCState) -> u8 {
-    match state {
-        PackageCState::C0Min => 0,
-        PackageCState::C2 => 2,
-        PackageCState::C3 => 3,
-        PackageCState::C6 => 6,
-        PackageCState::C7 => 7,
-        PackageCState::C8 => 8,
-    }
+    WorkloadType::from_tag(tag).ok_or(DecodeError::BadTag { what: "workload type", tag })
 }
 
 fn cstate_from_wire(tag: u8) -> Result<PackageCState, DecodeError> {
-    match tag {
-        0 => Ok(PackageCState::C0Min),
-        2 => Ok(PackageCState::C2),
-        3 => Ok(PackageCState::C3),
-        6 => Ok(PackageCState::C6),
-        7 => Ok(PackageCState::C7),
-        8 => Ok(PackageCState::C8),
-        tag => Err(DecodeError::BadTag { what: "package C-state", tag }),
-    }
+    PackageCState::from_number(tag).ok_or(DecodeError::BadTag { what: "package C-state", tag })
 }
 
 /// One operating point of an [`RequestBody::Eval`] query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PointSpec {
     /// An active fixed-TDP-frequency point (the Fig. 4 design point).
     Active {
@@ -177,9 +143,9 @@ impl PointSpec {
     pub fn key(&self) -> (u8, u64, u8, u64) {
         match *self {
             PointSpec::Active { tdp, workload, ar } => {
-                (0, tdp.to_bits(), workload_to_wire(workload), ar.to_bits())
+                (0, tdp.to_bits(), workload.tag(), ar.to_bits())
             }
-            PointSpec::Idle { tdp, state } => (1, tdp.to_bits(), cstate_to_wire(state), 0),
+            PointSpec::Idle { tdp, state } => (1, tdp.to_bits(), state.number(), 0),
         }
     }
 
@@ -188,13 +154,13 @@ impl PointSpec {
             PointSpec::Active { tdp, workload, ar } => {
                 w.u8(0);
                 w.f64(tdp);
-                w.u8(workload_to_wire(workload));
+                w.u8(workload.tag());
                 w.f64(ar);
             }
             PointSpec::Idle { tdp, state } => {
                 w.u8(1);
                 w.f64(tdp);
-                w.u8(cstate_to_wire(state));
+                w.u8(state.number());
             }
         }
     }
@@ -214,7 +180,7 @@ impl PointSpec {
 
 /// A framed client request: tenant routing, correlation id, and the
 /// typed query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// The tenant whose memo shard and stats this request charges.
     pub tenant: u32,
@@ -232,7 +198,7 @@ pub struct Request {
 }
 
 /// The typed queries the daemon answers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
     /// Liveness probe.
     Ping,
@@ -339,7 +305,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         RequestBody::Sample { pdn, workload, tdp, ar } => {
             w.u8(pdn.to_wire());
-            w.u8(workload_to_wire(*workload));
+            w.u8(workload.tag());
             w.f64(*tdp);
             w.f64(*ar);
         }
@@ -351,14 +317,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             encode_f64_axis(&mut w, tdps);
             w.u32(u32::try_from(workloads.len()).unwrap_or(u32::MAX));
             for wl in workloads {
-                w.u8(workload_to_wire(*wl));
+                w.u8(wl.tag());
             }
             encode_f64_axis(&mut w, ars);
         }
         RequestBody::Crossover { a, b, workload, ar, range } => {
             w.u8(a.to_wire());
             w.u8(b.to_wire());
-            w.u8(workload_to_wire(*workload));
+            w.u8(workload.tag());
             w.f64(*ar);
             w.f64(range.0);
             w.f64(range.1);
@@ -423,7 +389,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
 }
 
 /// Per-tenant cache statistics in a [`ResponseBody::Stats`] reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantStats {
     /// Memo lookups answered from the tenant's cache.
     pub hits: u64,
@@ -440,7 +406,7 @@ pub struct TenantStats {
 }
 
 /// Daemon-wide counters in a [`ResponseBody::Stats`] reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Requests admitted since boot.
     pub requests: u64,
@@ -466,7 +432,7 @@ pub struct ServerStats {
 }
 
 /// A framed daemon reply: correlation id plus the typed result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The request's correlation id.
     pub id: u64,
@@ -475,7 +441,7 @@ pub struct Response {
 }
 
 /// The typed results the daemon returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// Liveness acknowledgement.
     Pong,
@@ -588,7 +554,7 @@ pub fn decode_evaluation(r: &mut BodyReader<'_>) -> Result<PdnEvaluation, Decode
 
 fn encode_surface(w: &mut BodyWriter, s: &EteeSurface) {
     w.str(&s.pdn);
-    w.u8(workload_to_wire(s.workload_type));
+    w.u8(s.workload_type.tag());
     encode_f64_axis(w, &s.tdps);
     encode_f64_axis(w, &s.ars);
     encode_f64_axis(w, &s.values);
@@ -729,7 +695,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
 
 /// The structured remainder of a [`ServeError`]: exactly enough to
 /// rebuild the library error losslessly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServeDetail {
     /// A leaf error carrying only its code and rendered message
     /// (regulator and unit errors, or errors decoded from a foreign
@@ -762,7 +728,7 @@ pub enum ServeDetail {
 /// `ServeError → PdnError → ServeError` is the identity, and
 /// `PdnError → ServeError → PdnError` preserves the [`ErrorCode`], the
 /// rendered message, and the full cause chain at every level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeError {
     /// The stable error code.
     pub code: ErrorCode,

@@ -12,7 +12,8 @@ use crate::protocol::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
     ResponseBody, ServeError,
 };
-use crate::wire::{self, DecodeError, FrameError};
+use crate::wire::{self, FrameError};
+use pdn_workload::codec::DecodeError;
 use pdnspot::ErrorCode;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

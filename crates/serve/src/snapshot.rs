@@ -23,11 +23,11 @@
 //! under another.
 
 use crate::protocol::{decode_evaluation, encode_evaluation};
-use crate::wire::{crc32, BodyReader, BodyWriter, DecodeError};
+use pdn_workload::codec::{crc32, split_crc, write_atomic, BodyReader, BodyWriter, DecodeError};
 use pdnspot::memo::MemoEntry;
 use std::ffi::OsString;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Snapshot magic: the ASCII bytes `PDNW` read as a little-endian `u32`.
@@ -138,10 +138,7 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
             encode_evaluation(&mut w, &entry.value);
         }
     }
-    let mut bytes = w.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    w.into_crc_trailed()
 }
 
 /// Decodes a snapshot from raw bytes. Never panics.
@@ -153,8 +150,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     if bytes.len() < 4 + 4 {
         return Err(SnapshotError::Decode(DecodeError::Truncated));
     }
-    let (content, trailer) = bytes.split_at(bytes.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let (content, expected) = split_crc(bytes)?;
     let found = crc32(content);
     if expected != found {
         return Err(SnapshotError::ChecksumMismatch { expected, found });
@@ -205,42 +201,17 @@ pub fn generation_path(path: &Path, n: usize) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes a snapshot file crash-safely, returning the byte count:
-/// the bytes land in a uniquely named temp file in the target
-/// directory, are fsynced, and only then renamed over `path` (with a
-/// best-effort directory fsync after). A crash at any instant leaves
-/// either the old snapshot or the new one — never a torn file.
+/// Writes a snapshot file crash-safely with
+/// [`write_atomic`], returning the byte count: a crash at any instant
+/// leaves either the old snapshot or the new one — never a torn file.
 ///
 /// # Errors
 ///
 /// Returns a [`SnapshotError`] on I/O failure (the temp file is
-/// removed on a failed write).
+/// removed on every failure path).
 pub fn write_file(path: &Path, snap: &Snapshot) -> Result<u64, SnapshotError> {
     let bytes = encode(snap);
-    let mut name = path.file_name().map_or_else(OsString::new, OsString::from);
-    name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(name);
-    let write = (|| -> io::Result<()> {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
-    // Persist the rename itself. Directory fsync is platform-dependent;
-    // failure here cannot un-rename, so it is best-effort.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
+    write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -302,6 +273,7 @@ pub fn restore_latest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdn_workload::codec::ScratchDir;
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -318,18 +290,10 @@ mod tests {
         assert_eq!(decode(&bytes).expect("decodes"), snap);
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("pdn-serve-snapshot-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
-    }
-
     #[test]
     fn rotation_keeps_generations_and_restore_walks_them() {
-        let dir = temp_dir("rotate");
-        let path = dir.join("state.pdnw");
+        let dir = ScratchDir::new("pdn-serve-snapshot-rotate").expect("scratch dir");
+        let path = dir.path().join("state.pdnw");
         let gen0 = Snapshot { ivr_firmware: vec![0], ..sample_snapshot() };
         let gen1 = Snapshot { ivr_firmware: vec![1], ..sample_snapshot() };
         let gen2 = Snapshot { ivr_firmware: vec![2], ..sample_snapshot() };
@@ -353,16 +317,14 @@ mod tests {
         let (restored, defects) = restore_latest(&path, 3);
         assert!(restored.is_none(), "all generations corrupt → cold start");
         assert_eq!(defects.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_of_missing_files_is_a_clean_cold_start() {
-        let dir = temp_dir("missing");
-        let (restored, defects) = restore_latest(&dir.join("nothing.pdnw"), 3);
+        let dir = ScratchDir::new("pdn-serve-snapshot-missing").expect("scratch dir");
+        let (restored, defects) = restore_latest(&dir.path().join("nothing.pdnw"), 3);
         assert!(restored.is_none());
         assert!(defects.is_empty(), "absent files are not defects");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! clamped extrapolation; [`Grid2`] is a rectilinear bilinear surface.
 
 use crate::error::UnitsError;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Checks a segment hint against an axis: the hint `h` is the answer iff
@@ -52,12 +51,11 @@ fn hinted_segment(axis: &[f64], hint: &AtomicUsize, x: f64) -> usize {
 /// assert_eq!(eta.eval(100.0), 0.90); // clamped
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Curve1 {
     xs: Vec<f64>,
     ys: Vec<f64>,
     /// Last-hit segment index (`lo` of the bracketing pair). Cache only.
-    #[serde(skip)]
     hint: AtomicUsize,
 }
 
@@ -270,16 +268,14 @@ impl Curve1Builder {
 /// assert!((g.eval(27.0, 0.6) - 0.765).abs() < 1e-12);
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Grid2 {
     rows: Vec<f64>,
     cols: Vec<f64>,
     values: Vec<f64>,
     /// Last-hit segment cursors per axis. Caches only — `clone`/`eq`
     /// ignore them, and hits and misses produce bit-identical results.
-    #[serde(skip)]
     row_hint: AtomicUsize,
-    #[serde(skip)]
     col_hint: AtomicUsize,
 }
 

@@ -5,7 +5,6 @@
 //! quotients (Ohm's law, power law) are provided where they eliminate a
 //! class of unit-confusion bugs in the ETEE power-flow computations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -16,8 +15,7 @@ macro_rules! quantity {
         $name:ident, $unit:literal, $ctor_doc:literal
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -456,19 +454,5 @@ mod tests {
         assert_eq!(v.max(Volts::new(2.0)), Volts::new(2.0));
         assert_eq!(v.min(Volts::new(1.0)), Volts::new(1.0));
         assert_eq!((-v).abs(), v);
-    }
-
-    #[test]
-    fn serde_round_trip_is_transparent() {
-        let json = serde_json_like(Watts::new(4.5));
-        assert_eq!(json, "4.5");
-    }
-
-    /// Minimal serialization check without pulling serde_json: transparent
-    /// newtypes serialize exactly as their inner f64.
-    fn serde_json_like(w: Watts) -> String {
-        // Serialize through the Display of the inner value; the transparent
-        // attribute guarantees the wire format equals the inner value.
-        format!("{}", w.get())
     }
 }

@@ -2,7 +2,6 @@
 //! efficiencies, and workload application ratios.
 
 use crate::error::UnitsError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Div, Mul};
 
@@ -21,8 +20,7 @@ use std::ops::{Div, Mul};
 /// assert_eq!(format!("{residency}"), "85.0%");
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Ratio(f64);
 
 impl Ratio {
@@ -118,8 +116,7 @@ impl Mul<f64> for Ratio {
 /// assert_eq!(input, Watts::new(2.0));
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Efficiency(f64);
 
 impl Efficiency {
@@ -229,8 +226,7 @@ impl Div<Efficiency> for crate::Watts {
 /// assert_eq!(peak, Watts::new(10.0));
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct ApplicationRatio(f64);
 
 impl ApplicationRatio {

@@ -19,10 +19,9 @@
 
 use crate::traits::{OperatingPoint, Placement, VoltageRegulator, VrError, VrPowerState};
 use pdn_units::{Amps, Efficiency, Ohms, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Multi-phase configuration of a buck converter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseConfig {
     /// Maximum number of phases available.
     pub max_phases: u32,
@@ -40,7 +39,7 @@ impl PhaseConfig {
 }
 
 /// Construction parameters for a [`BuckConverter`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuckParams {
     /// Regulator name (e.g. `"V_IN"`).
     pub name: String,
@@ -127,7 +126,7 @@ impl BuckParams {
 /// assert!(eta.get() > 0.80 && eta.get() < 0.92);
 /// # Ok::<(), pdn_vr::VrError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuckConverter {
     params: BuckParams,
 }

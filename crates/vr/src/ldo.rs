@@ -16,10 +16,9 @@
 
 use crate::traits::{OperatingPoint, Placement, VoltageRegulator, VrError};
 use pdn_units::{Amps, Efficiency, Ohms, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Operating mode of an LDO regulator (§2.3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LdoMode {
     /// Linear regulation: `Vout < Vin`, `η ≈ (Vout/Vin)·Ie`.
     Regulation,
@@ -55,7 +54,7 @@ impl std::fmt::Display for LdoMode {
 /// assert!((eta.get() - 0.5 / 0.9 * 0.991).abs() < 1e-6);
 /// # Ok::<(), pdn_vr::VrError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LdoRegulator {
     name: String,
     /// Current efficiency `Ie = Iout / Iin` (quiescent current overhead).

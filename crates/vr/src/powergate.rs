@@ -7,7 +7,6 @@
 
 use crate::traits::{OperatingPoint, Placement, VoltageRegulator, VrError};
 use pdn_units::{Amps, Efficiency, Ohms, Volts, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An on-die power gate with a series impedance.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((drop.millivolts() - 15.0).abs() < 1e-9);
 /// # Ok::<(), pdn_vr::VrError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerGate {
     name: String,
     resistance: Ohms,

@@ -13,11 +13,10 @@
 
 use crate::traits::{OperatingPoint, Placement, VoltageRegulator, VrError, VrPowerState};
 use pdn_units::{Amps, Curve1, Efficiency, Volts};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One measured efficiency curve: η(Iout) at fixed (Vin, Vout, power state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceEntry {
     /// Input voltage of the sweep.
     pub vin: Volts,
@@ -52,7 +51,7 @@ pub struct SurfaceEntry {
 /// assert!((direct.get() - tabulated.get()).abs() < 0.01);
 /// # Ok::<(), pdn_vr::VrError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencySurface {
     name: String,
     placement: Placement,

@@ -7,7 +7,6 @@
 //! into controller tolerance, current-sense variation, and voltage ripple.
 
 use pdn_units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// A VR tolerance band decomposed into its three standard components.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let tob = ToleranceBand::from_total_millivolts(20.0);
 /// assert!((tob.total().millivolts() - 20.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToleranceBand {
     /// Controller set-point tolerance.
     pub controller: Volts,

@@ -1,7 +1,6 @@
 //! The [`VoltageRegulator`] trait and its supporting vocabulary types.
 
 use pdn_units::{Amps, Efficiency, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a regulator physically lives in the platform.
@@ -9,7 +8,7 @@ use std::fmt;
 /// Placement drives the board-area/BOM model (§3.2): only off-chip
 /// regulators consume board area, while on-chip regulators consume die area
 /// and add design complexity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// On the motherboard (e.g. an MBVR first-stage VR).
     Motherboard,
@@ -36,7 +35,7 @@ impl fmt::Display for Placement {
 /// for lower fixed losses (the paper's V_IN VR supports PS0, PS1, PS3, and
 /// PS4). The deeper the state, the lower the quiescent loss and the lower
 /// the current the VR can serve without exiting the state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VrPowerState {
     /// Full-performance state: all phases available.
     Ps0,
@@ -111,7 +110,7 @@ impl fmt::Display for VrPowerState {
 ///     .with_power_state(VrPowerState::Ps1);
 /// assert_eq!(op.output_power(), pdn_units::Watts::new(2.7));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Input voltage to the regulator.
     pub vin: Volts,

@@ -11,11 +11,10 @@
 use crate::trace::{Trace, TraceInterval};
 use pdn_proc::PackageCState;
 use pdn_units::{Ratio, Seconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four battery-life workloads of Fig. 8c.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatteryLifeWorkload {
     /// Video playback: 10 % C0MIN / 5 % C2 / 85 % C8 (§5 Observation 3).
     VideoPlayback,
@@ -87,7 +86,7 @@ impl fmt::Display for BatteryLifeWorkload {
 
 /// Power-state residencies of a battery-life workload: the fractions of
 /// time spent in C0MIN, C2, and C8 (they sum to 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidencyProfile {
     /// Active (minimum-frequency) residency.
     pub c0min: Ratio,

@@ -8,10 +8,9 @@
 
 use crate::trace::{Trace, TraceInterval, WorkloadType};
 use pdn_units::{ApplicationRatio, Ratio, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A graphics benchmark profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphicsBenchmark {
     /// Benchmark name (3DMark06 sub-test or game workload).
     pub name: &'static str,

@@ -21,6 +21,9 @@
 //!   frame-locked gaming, ML inference, thermally-throttled mobile).
 //! * [`tracefile`] — the crash-tolerant chunked binary trace-file format
 //!   and its bounded-memory streaming reader.
+//! * [`codec`] — the durable-bytes layer every binary format of the
+//!   workspace shares: CRC-32, FNV-1a, the little-endian cursor, and the
+//!   atomic file write.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod batterylife;
+pub mod codec;
 pub mod graphics;
 pub mod mixes;
 pub mod spec;

@@ -11,10 +11,9 @@
 
 use crate::trace::{Trace, TraceInterval, WorkloadType};
 use pdn_units::{ApplicationRatio, Ratio, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A SPEC CPU2006 benchmark profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecBenchmark {
     /// Benchmark name (e.g. `"416.gamess"`).
     pub name: &'static str,

@@ -13,7 +13,6 @@ use pdn_proc::PackageCState;
 use pdn_units::{ApplicationRatio, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The power-virus trace: the most computationally intensive workload
 /// possible (AR = 1), used to size guardbands and Iccmax.
@@ -57,7 +56,7 @@ pub fn ar_sweep(workload_type: WorkloadType, ar_percents: &[f64], duration: Seco
 /// // Deterministic under the seed:
 /// assert_eq!(trace, TraceGenerator::new(42).generate("mix", 100));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceGenerator {
     seed: u64,
     /// Probability that an interval is active (vs idle).

@@ -8,12 +8,11 @@
 
 use pdn_proc::{DomainKind, PackageCState};
 use pdn_units::{ApplicationRatio, Ratio, Seconds, UnitsError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The workload types distinguished by the paper's models and by the
 /// FlexWatts mode predictor (Algorithm 1 input `WL_TYPE`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkloadType {
     /// One CPU core active, graphics idle.
     SingleThread,
@@ -32,6 +31,30 @@ impl WorkloadType {
     /// (Fig. 4a–i rows).
     pub const ACTIVE_TYPES: [WorkloadType; 3] =
         [WorkloadType::SingleThread, WorkloadType::MultiThread, WorkloadType::Graphics];
+
+    /// Every workload type, in the order of its [`WorkloadType::tag`].
+    pub const ALL: [WorkloadType; 4] = [
+        WorkloadType::SingleThread,
+        WorkloadType::MultiThread,
+        WorkloadType::Graphics,
+        WorkloadType::BatteryLife,
+    ];
+
+    /// The byte every binary format stores this type as (`.pdnt` phase
+    /// tags, firmware sections, `pdn-serve` frames).
+    pub fn tag(self) -> u8 {
+        match self {
+            WorkloadType::SingleThread => 0,
+            WorkloadType::MultiThread => 1,
+            WorkloadType::Graphics => 2,
+            WorkloadType::BatteryLife => 3,
+        }
+    }
+
+    /// The type a [`WorkloadType::tag`] byte stands for.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
 
     /// Whether a domain is powered during an active interval of this type.
     pub fn domain_powered(self, domain: DomainKind) -> bool {
@@ -70,7 +93,7 @@ impl fmt::Display for WorkloadType {
 }
 
 /// What the processor is doing during one trace interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Phase {
     /// Compute domains are executing.
     Active {
@@ -105,7 +128,7 @@ impl Phase {
 }
 
 /// One interval of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceInterval {
     /// Interval length.
     pub duration: Seconds,
@@ -218,7 +241,7 @@ impl TraceInterval {
 /// assert!((trace.active_residency().get() - 0.1).abs() < 1e-9);
 /// # Ok::<(), pdn_units::UnitsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
     intervals: Vec<TraceInterval>,

@@ -35,6 +35,7 @@
 //! quarantined a frame can tell exactly how many intervals went missing
 //! ([`ChunkDefect::IndexGap`]).
 
+use crate::codec::{crc32, fnv1a64, le_u64s, BodyReader, BodyWriter};
 use crate::trace::{Phase, Trace, TraceInterval, WorkloadType};
 use pdn_proc::PackageCState;
 use pdn_units::{ApplicationRatio, Seconds, UnitsError};
@@ -73,32 +74,6 @@ const FRAME_PREFIX: usize = 8;
 const FOOTER_PAYLOAD: usize = 16;
 /// Read granularity for the streaming reader.
 const READ_CHUNK: usize = 64 * 1024;
-
-/// CRC-32 (IEEE, reflected) — the one implementation shared by trace
-/// files, replay checkpoints, wire frames, daemon snapshots and PMU
-/// firmware images.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// 64-bit FNV-1a over `data` — used to fingerprint a trace file's header
-/// so replay checkpoints can refuse to resume against a different file.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Defect taxonomy
@@ -426,56 +401,15 @@ fn cstate_tag(state: PackageCState) -> u8 {
     }
 }
 
-fn workload_tag(wl: WorkloadType) -> u8 {
-    match wl {
-        WorkloadType::SingleThread => 0,
-        WorkloadType::MultiThread => 1,
-        WorkloadType::Graphics => 2,
-        WorkloadType::BatteryLife => 3,
-    }
-}
-
 fn phase_tag(phase: Phase) -> u8 {
     match phase {
         Phase::Idle(state) => cstate_tag(state),
-        Phase::Active { workload_type, .. } => TAG_ACTIVE | workload_tag(workload_type),
+        Phase::Active { workload_type, .. } => TAG_ACTIVE | workload_type.tag(),
     }
 }
 
 fn decode_cstate(tag: u8) -> Option<PackageCState> {
     PackageCState::ALL.get(usize::from(tag)).copied()
-}
-
-fn decode_workload(tag: u8) -> Option<WorkloadType> {
-    match tag {
-        0 => Some(WorkloadType::SingleThread),
-        1 => Some(WorkloadType::MultiThread),
-        2 => Some(WorkloadType::Graphics),
-        3 => Some(WorkloadType::BatteryLife),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian helpers (no serde: the vendored crate is a no-op stub)
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes.get(at..at + 4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
 }
 
 // ---------------------------------------------------------------------------
@@ -591,52 +525,46 @@ impl<W: Write> TraceFileWriter<W> {
 }
 
 fn encode_header(name: &str, chunk_capacity: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + name.len());
-    put_u32(&mut out, FILE_MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-    put_u32(&mut out, chunk_capacity);
-    put_u32(&mut out, name.len() as u32);
-    out.extend_from_slice(name.as_bytes());
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let mut w = BodyWriter::with_capacity(20 + name.len());
+    w.u32(FILE_MAGIC);
+    w.u16(VERSION);
+    w.u16(0); // flags, reserved
+    w.u32(chunk_capacity);
+    w.str(name);
+    w.into_crc_trailed()
 }
 
 fn encode_chunk(first_index: u64, intervals: &[TraceInterval]) -> Vec<u8> {
     let count = intervals.len();
-    let mut payload = Vec::with_capacity(CHUNK_PREFIX + count * BYTES_PER_INTERVAL);
-    put_u64(&mut payload, first_index);
-    put_u32(&mut payload, count as u32);
+    let mut payload = BodyWriter::with_capacity(CHUNK_PREFIX + count * BYTES_PER_INTERVAL);
+    payload.u64(first_index);
+    payload.u32(count as u32);
     for i in intervals {
-        put_u64(&mut payload, i.duration.get().to_bits());
+        payload.f64(i.duration.get());
     }
     for i in intervals {
-        payload.push(phase_tag(i.phase));
+        payload.u8(phase_tag(i.phase));
     }
     for i in intervals {
-        put_u64(&mut payload, i.phase.ar().get().to_bits());
+        payload.f64(i.phase.ar().get());
     }
-    let mut frame = Vec::with_capacity(FRAME_PREFIX + payload.len() + 4);
-    put_u32(&mut frame, CHUNK_MAGIC);
-    put_u32(&mut frame, payload.len() as u32);
-    let crc = crc32(&payload);
-    frame.extend_from_slice(&payload);
-    put_u32(&mut frame, crc);
-    frame
+    encode_frame(CHUNK_MAGIC, &payload.into_bytes())
 }
 
 fn encode_footer(total_intervals: u64, total_duration: f64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(FOOTER_PAYLOAD);
-    put_u64(&mut payload, total_intervals);
-    put_u64(&mut payload, total_duration.to_bits());
-    let mut frame = Vec::with_capacity(FRAME_PREFIX + FOOTER_PAYLOAD + 4);
-    put_u32(&mut frame, FOOTER_MAGIC);
-    put_u32(&mut frame, payload.len() as u32);
-    let crc = crc32(&payload);
-    frame.extend_from_slice(&payload);
-    put_u32(&mut frame, crc);
-    frame
+    let mut payload = BodyWriter::with_capacity(FOOTER_PAYLOAD);
+    payload.u64(total_intervals);
+    payload.f64(total_duration);
+    encode_frame(FOOTER_MAGIC, &payload.into_bytes())
+}
+
+/// `magic | payload_len | payload | crc32(payload)`.
+fn encode_frame(magic: u32, payload: &[u8]) -> Vec<u8> {
+    let mut frame = BodyWriter::with_capacity(FRAME_PREFIX + payload.len() + 4);
+    frame.u32(magic);
+    frame.bytes(payload);
+    frame.u32(crc32(payload));
+    frame.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
@@ -884,17 +812,18 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn read_header(&mut self) -> Result<(), TraceFileError> {
+        let truncated = TraceFileError::Header(ChunkDefect::Truncated { at: 0 });
         // Fixed prefix: magic + version + flags + chunk_capacity + name_len.
         self.fill(16)?;
-        let head = &self.buf[self.pos..];
-        if head.len() < 16 {
-            return Err(TraceFileError::Header(ChunkDefect::Truncated { at: 0 }));
-        }
-        let magic = get_u32(head, 0).unwrap_or(0);
+        let mut r = BodyReader::new(&self.buf[self.pos..]);
+        let prefix = (r.u32(), r.u16(), r.u16(), r.u32(), r.u32());
+        let (Ok(magic), Ok(version), Ok(flags), Ok(chunk_capacity), Ok(name_len)) = prefix else {
+            return Err(truncated);
+        };
         if magic != FILE_MAGIC {
             return Err(TraceFileError::Header(ChunkDefect::BadMagic { at: 0, found: magic }));
         }
-        let name_len = get_u32(head, 12).unwrap_or(0) as usize;
+        let name_len = name_len as usize;
         if name_len > MAX_NAME {
             return Err(TraceFileError::Header(ChunkDefect::Oversized {
                 at: 0,
@@ -903,12 +832,11 @@ impl<R: Read> TraceReader<R> {
         }
         let total = 16 + name_len + 4;
         self.fill(total)?;
-        if self.available() < total {
-            return Err(TraceFileError::Header(ChunkDefect::Truncated { at: 0 }));
-        }
-        let head = &self.buf[self.pos..self.pos + total];
-        let body = &head[..16 + name_len];
-        let declared_crc = get_u32(head, 16 + name_len).unwrap_or(0);
+        let head = &self.buf[self.pos..];
+        let mut r = BodyReader::new(head);
+        let (Ok(body), Ok(declared_crc)) = (r.take(16 + name_len), r.u32()) else {
+            return Err(truncated);
+        };
         let actual_crc = crc32(body);
         if declared_crc != actual_crc {
             return Err(TraceFileError::Header(ChunkDefect::ChecksumMismatch {
@@ -917,13 +845,10 @@ impl<R: Read> TraceReader<R> {
                 found: actual_crc,
             }));
         }
-        let version = u16::from_le_bytes([head[4], head[5]]);
         if version != VERSION {
             return Err(TraceFileError::Unsupported { version });
         }
-        let flags = u16::from_le_bytes([head[6], head[7]]);
-        let chunk_capacity = get_u32(head, 8).unwrap_or(0);
-        let name = match std::str::from_utf8(&head[16..16 + name_len]) {
+        let name = match std::str::from_utf8(&body[16..]) {
             Ok(s) => s.to_string(),
             Err(_) => {
                 return Err(TraceFileError::Header(ChunkDefect::Malformed {
@@ -932,8 +857,8 @@ impl<R: Read> TraceReader<R> {
                 }))
             }
         };
-        self.header =
-            TraceFileHeader { version, flags, chunk_capacity, name, fingerprint: fnv1a64(head) };
+        let fingerprint = fnv1a64(&head[..total]);
+        self.header = TraceFileHeader { version, flags, chunk_capacity, name, fingerprint };
         self.pos += total;
         Ok(())
     }
@@ -964,6 +889,18 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
+    /// The stream ended inside the frame at `at`: account the torn frame
+    /// (and the footer it took with it) and stop.
+    fn torn_frame(&mut self, at: u64) -> Result<(), TraceFileError> {
+        self.pos = self.buf.len();
+        self.done = true;
+        self.defect(ChunkDefect::Truncated { at })?;
+        if !self.footer_seen {
+            self.defect(ChunkDefect::MissingFooter)?;
+        }
+        Ok(())
+    }
+
     /// Reads and decodes the next frame, refilling `self.current` on a
     /// good chunk. Sets `self.done` at end of stream.
     fn read_next_chunk(&mut self) -> Result<(), TraceFileError> {
@@ -975,27 +912,19 @@ impl<R: Read> TraceReader<R> {
             }
             self.compact();
             self.fill(FRAME_PREFIX)?;
-            let avail = self.available();
-            if avail == 0 {
+            if self.available() == 0 {
                 self.done = true;
-                if !self.footer_seen {
-                    self.defect(ChunkDefect::MissingFooter)?;
-                }
-                return Ok(());
-            }
-            if avail < FRAME_PREFIX {
-                let at = self.offset();
-                self.pos = self.buf.len();
-                self.done = true;
-                self.defect(ChunkDefect::Truncated { at })?;
                 if !self.footer_seen {
                     self.defect(ChunkDefect::MissingFooter)?;
                 }
                 return Ok(());
             }
             let at = self.offset();
-            let magic = get_u32(&self.buf, self.pos).unwrap_or(0);
-            let declared_len = get_u32(&self.buf, self.pos + 4).unwrap_or(0) as usize;
+            let mut r = BodyReader::new(&self.buf[self.pos..]);
+            let (Ok(magic), Ok(declared_len)) = (r.u32(), r.u32()) else {
+                return self.torn_frame(at);
+            };
+            let declared_len = declared_len as usize;
             if magic != CHUNK_MAGIC && magic != FOOTER_MAGIC {
                 self.defect(ChunkDefect::BadMagic { at, found: magic })?;
                 self.resync()?;
@@ -1009,18 +938,11 @@ impl<R: Read> TraceReader<R> {
             }
             let frame_len = FRAME_PREFIX + declared_len + 4;
             self.fill(frame_len)?;
-            if self.available() < frame_len {
-                self.pos = self.buf.len();
-                self.done = true;
-                self.defect(ChunkDefect::Truncated { at })?;
-                if !self.footer_seen {
-                    self.defect(ChunkDefect::MissingFooter)?;
-                }
-                return Ok(());
-            }
-            let payload_start = self.pos + FRAME_PREFIX;
-            let payload = &self.buf[payload_start..payload_start + declared_len];
-            let declared_crc = get_u32(&self.buf, payload_start + declared_len).unwrap_or(0);
+            let mut r = BodyReader::new(&self.buf[self.pos..]);
+            let frame = (r.take(FRAME_PREFIX), r.take(declared_len), r.u32());
+            let (Ok(_), Ok(payload), Ok(declared_crc)) = frame else {
+                return self.torn_frame(at);
+            };
             let actual_crc = crc32(payload);
             if declared_crc != actual_crc {
                 // The frame shape was plausible, so skip it wholesale —
@@ -1036,8 +958,9 @@ impl<R: Read> TraceReader<R> {
                 continue;
             }
             if magic == FOOTER_MAGIC {
+                let declared_total = footer_total(at, payload);
                 self.pos += frame_len;
-                match self.decode_footer(at, declared_len) {
+                match declared_total.and_then(|total| self.check_footer(total)) {
                     Ok(()) => {
                         self.footer_seen = true;
                         self.done = true;
@@ -1075,12 +998,7 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    fn decode_footer(&mut self, at: u64, declared_len: usize) -> Result<(), ChunkDefect> {
-        if declared_len != FOOTER_PAYLOAD {
-            return Err(ChunkDefect::Malformed { at, what: "footer payload length" });
-        }
-        let payload_start = self.pos - 4 - FOOTER_PAYLOAD;
-        let declared_total = get_u64(&self.buf, payload_start).unwrap_or(0);
+    fn check_footer(&mut self, declared_total: u64) -> Result<(), ChunkDefect> {
         let accounted = self.intervals_emitted
             + (self.current.len() - self.current_pos) as u64
             + self.intervals_lost;
@@ -1095,33 +1013,35 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-fn decode_chunk_payload(at: u64, payload: &[u8]) -> Result<(u64, Vec<TraceInterval>), ChunkDefect> {
-    if payload.len() < CHUNK_PREFIX {
-        return Err(ChunkDefect::Malformed { at, what: "chunk payload shorter than prefix" });
+/// The interval total a CRC-verified footer payload declares.
+fn footer_total(at: u64, payload: &[u8]) -> Result<u64, ChunkDefect> {
+    let mut r = BodyReader::new(payload);
+    match (r.u64(), r.u64(), r.finish()) {
+        (Ok(total), Ok(_duration_bits), Ok(())) => Ok(total),
+        _ => Err(ChunkDefect::Malformed { at, what: "footer payload length" }),
     }
-    let first_index =
-        get_u64(payload, 0).ok_or(ChunkDefect::Malformed { at, what: "chunk prefix" })?;
-    let count =
-        get_u32(payload, 8).ok_or(ChunkDefect::Malformed { at, what: "chunk prefix" })? as usize;
+}
+
+fn decode_chunk_payload(at: u64, payload: &[u8]) -> Result<(u64, Vec<TraceInterval>), ChunkDefect> {
+    let mut r = BodyReader::new(payload);
+    let (Ok(first_index), Ok(count)) = (r.u64(), r.u32()) else {
+        return Err(ChunkDefect::Malformed { at, what: "chunk payload shorter than prefix" });
+    };
+    let count = count as usize;
     if count > MAX_CHUNK_INTERVALS {
         return Err(ChunkDefect::Malformed { at, what: "chunk interval count over bound" });
     }
-    if payload.len() != CHUNK_PREFIX + count * BYTES_PER_INTERVAL {
+    // Each SoA column is taken once, bounded, so the interval loop below
+    // walks slices of known length with no per-field bounds check.
+    let columns = (r.take(count * 8), r.take(count), r.take(count * 8), r.remaining());
+    let (Ok(durations), Ok(tags), Ok(ars), 0) = columns else {
         return Err(ChunkDefect::Malformed { at, what: "payload length != 12 + 17 * count" });
-    }
-    let durations_at = CHUNK_PREFIX;
-    let tags_at = durations_at + count * 8;
-    let ars_at = tags_at + count;
+    };
     let mut intervals = Vec::with_capacity(count);
-    for i in 0..count {
-        let duration_bits = get_u64(payload, durations_at + i * 8)
-            .ok_or(ChunkDefect::Malformed { at, what: "duration column" })?;
-        let tag = payload[tags_at + i];
-        let ar_bits = get_u64(payload, ars_at + i * 8)
-            .ok_or(ChunkDefect::Malformed { at, what: "ar column" })?;
+    for ((duration_bits, &tag), ar_bits) in le_u64s(durations).zip(tags).zip(le_u64s(ars)) {
         let duration = Seconds::new(f64::from_bits(duration_bits));
         let interval = if tag & TAG_ACTIVE != 0 {
-            let wl = decode_workload(tag & !TAG_ACTIVE)
+            let wl = WorkloadType::from_tag(tag & !TAG_ACTIVE)
                 .ok_or(ChunkDefect::Malformed { at, what: "unknown workload tag" })?;
             let ar = ApplicationRatio::new(f64::from_bits(ar_bits))
                 .map_err(|source| ChunkDefect::InvalidInterval { at, source })?;
@@ -1169,23 +1089,22 @@ pub struct FrameSpan {
 /// is meant to run on bytes this module just encoded); returns `None`
 /// as soon as the structure stops making sense.
 pub fn frame_spans(bytes: &[u8]) -> Option<Vec<FrameSpan>> {
-    let name_len = get_u32(bytes, 12)? as usize;
-    let header_len = 16 + name_len + 4;
-    bytes.get(..header_len)?;
-    let mut spans = vec![FrameSpan { offset: 0, len: header_len, kind: FrameKind::Header }];
-    let mut at = header_len;
-    while at < bytes.len() {
-        let magic = get_u32(bytes, at)?;
-        let payload_len = get_u32(bytes, at + 4)? as usize;
-        let len = FRAME_PREFIX + payload_len + 4;
-        bytes.get(at..at + len)?;
+    let mut r = BodyReader::new(bytes);
+    r.take(12).ok()?;
+    let name_len = r.u32().ok()? as usize;
+    r.take(name_len + 4).ok()?;
+    let mut spans = vec![FrameSpan { offset: 0, len: r.position(), kind: FrameKind::Header }];
+    while r.remaining() > 0 {
+        let offset = r.position();
+        let magic = r.u32().ok()?;
+        let payload_len = r.u32().ok()? as usize;
+        r.take(payload_len + 4).ok()?;
         let kind = match magic {
-            m if m == CHUNK_MAGIC => FrameKind::Chunk,
-            m if m == FOOTER_MAGIC => FrameKind::Footer,
+            CHUNK_MAGIC => FrameKind::Chunk,
+            FOOTER_MAGIC => FrameKind::Footer,
             _ => return None,
         };
-        spans.push(FrameSpan { offset: at, len, kind });
-        at += len;
+        spans.push(FrameSpan { offset, len: r.position() - offset, kind });
     }
     Some(spans)
 }
@@ -1328,6 +1247,11 @@ mod tests {
 
     #[test]
     fn crc_matches_wire_vector() {
+        // A chunk frame's trailer is the CRC-32 of its payload, the same
+        // known-answer vector the daemon's wire frames carry.
+        let frame = encode_frame(CHUNK_MAGIC, b"123456789");
+        let trailer = &frame[frame.len() - 4..];
+        assert_eq!(u32::from_le_bytes(trailer.try_into().unwrap()), 0xCBF4_3926);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
@@ -1410,7 +1334,7 @@ mod tests {
         let mut bytes = encode_trace(&sample_trace(4), 4).unwrap();
         bytes[4] = 9; // version
                       // Re-seal the header CRC so only the version is wrong.
-        let name_len = get_u32(&bytes, 12).unwrap() as usize;
+        let name_len = "sample".len();
         let crc = crc32(&bytes[..16 + name_len]);
         bytes[16 + name_len..16 + name_len + 4].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
