@@ -1,6 +1,6 @@
 //! `batch_sweep`: the batch engine's parallel speed-up on the paper's
 //! design-space lattice — 7 TDPs × 9 ARs × 4 PDN topologies — comparing
-//! the serial path against the scoped worker pool.
+//! the serial path against the persistent batch worker pool.
 //!
 //! Run with: `cargo bench --bench batch_sweep`
 

@@ -8,7 +8,7 @@ use pdn_proc::PackageCState;
 use pdn_workload::WorkloadType;
 use pdnspot::batch::{build_scenarios, ClientSoc, SweepGrid, Workers};
 use pdnspot::validation::{validate_with, ReferenceSystem, ValidationReport};
-use pdnspot::{BatchStats, MemoCache, ModelParams, PdnError, Scenario};
+use pdnspot::{BatchStats, ModelParams, PdnError, Scenario};
 
 /// The TDP panels of Fig. 4 (a–i use 4, 18, 50 W).
 pub const PANEL_TDPS: [f64; 3] = [4.0, 18.0, 50.0];
@@ -59,14 +59,9 @@ pub fn campaign(seed: u64) -> Result<CampaignOutput, PdnError> {
 
     let mut reports = Vec::new();
     let mut points = Vec::new();
-    // One memo cache across the whole campaign: validation evaluates each
-    // (PDN, scenario) pair twice (model eval + reintegration), so the
-    // second evaluation is a cache hit with bit-identical values.
-    let memo = MemoCache::new();
     for pdn in three_baselines(&params) {
-        let report =
-            validate_with(&memo.wrap(pdn.as_ref()), &reference, &scenarios, Workers::Auto)?;
-        stats.evaluations += 2 * scenarios.len(); // model eval + reintegration
+        let report = validate_with(pdn.as_ref(), &reference, &scenarios, Workers::Auto)?;
+        stats.evaluations += scenarios.len();
         for (scenario, sample) in scenarios.iter().zip(&report.samples) {
             points.push(ValidationPoint {
                 pdn: pdn.kind().to_string(),
@@ -77,10 +72,6 @@ pub fn campaign(seed: u64) -> Result<CampaignOutput, PdnError> {
         }
         reports.push((pdn.kind().to_string(), report));
     }
-    let memo_stats = memo.stats();
-    stats.memo_hits += memo_stats.hits as usize;
-    stats.memo_misses += memo_stats.misses as usize;
-    stats.memo_evictions += memo_stats.evictions as usize;
     Ok((reports, points, stats))
 }
 
@@ -131,10 +122,8 @@ mod tests {
         assert_eq!(points.len(), 3 * 51);
         // One scenario build per lattice point, shared across the PDNs.
         assert_eq!(stats.scenario_builds, 51);
-        // Validation evaluates each (PDN, scenario) pair twice; the memo
-        // cache turns every second evaluation into a hit.
-        assert_eq!(stats.memo_hits, 3 * 51);
-        assert_eq!(stats.memo_misses, 3 * 51);
+        // Validation evaluates each (PDN, scenario) pair exactly once.
+        assert_eq!(stats.evaluations, 51 + 3 * 51);
         for (name, report) in &reports {
             assert!(report.mean_accuracy() > 0.98, "{name} accuracy {:.4}", report.mean_accuracy());
         }

@@ -3,7 +3,7 @@
 //!
 //! The paper's value proposition is that the analytical model is *fast*
 //! enough to sweep thousands of (TDP, workload, AR, C-state) points per
-//! PDN; this module turns that into a protected number. Six kernels are
+//! PDN; this module turns that into a protected number. Seven kernels are
 //! timed:
 //!
 //! * **batch_sweep** — the full design-space lattice sweep
@@ -22,7 +22,11 @@
 //! * **delta_sweep** — the incremental dirty-slab re-sweep
 //!   ([`pdnspot::sweep::surfaces_delta`]): one TDP axis value changes and
 //!   only the dirtied slab is re-evaluated, patching the prior surfaces
-//!   in place bit-identically to a full re-sweep.
+//!   in place bit-identically to a full re-sweep;
+//! * **par_map_dispatch** — the fixed cost of one
+//!   [`pdnspot::batch::par_map`] fan-out: a two-item job on two workers
+//!   whose items cost nothing, so the time is all worker-pool dispatch
+//!   (reported per call).
 //!
 //! Each kernel reports wall time, points/sec, ns/point, heap allocations
 //! per point (counted by the `perf` binary's instrumented global
@@ -38,7 +42,7 @@
 use pdn_proc::PackageCState;
 use pdn_units::{ApplicationRatio, Seconds, Watts};
 use pdn_workload::{Trace, TraceInterval, WorkloadType};
-use pdnspot::batch::{evaluate, ClientSoc, SweepGrid, Workers};
+use pdnspot::batch::{evaluate, par_map, ClientSoc, SweepGrid, Workers};
 use pdnspot::prelude::*;
 use pdnspot::validation::{validate_with, ReferenceSystem};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -468,7 +472,33 @@ pub fn delta_kernel(quick: bool) -> KernelReport {
     }
 }
 
-/// Runs all six kernels.
+/// Kernel 7: the fixed cost of a worker-pool fan-out. Each call is a
+/// [`par_map`] of two trivial items on two workers — the shape of the
+/// small fan-outs a sweep round issues — so the reported ns/point is the
+/// per-call dispatch overhead (points are calls). The digest pins the
+/// call count and the sum of every returned item.
+pub fn dispatch_kernel(quick: bool) -> KernelReport {
+    let calls = if quick { 200 } else { 2000 };
+    let items = [1u64, 2];
+    let run = || {
+        (0..calls)
+            .map(|_| {
+                par_map(&items, Workers::Fixed(2), |i, &x| x * (i as u64 + 1)).iter().sum::<u64>()
+            })
+            .sum::<u64>()
+    };
+    let _ = run();
+    let (sum, wall_s, allocations) = measure(run);
+    KernelReport {
+        name: "par_map_dispatch",
+        points: calls,
+        wall_s,
+        allocations,
+        digest: format!("calls={calls} items=2 sum={sum}"),
+    }
+}
+
+/// Runs all seven kernels.
 pub fn run_all(quick: bool) -> Vec<KernelReport> {
     vec![
         batch_kernel(quick),
@@ -477,6 +507,7 @@ pub fn run_all(quick: bool) -> Vec<KernelReport> {
         memo_kernel(quick),
         crossover_kernel(quick),
         delta_kernel(quick),
+        dispatch_kernel(quick),
     ]
 }
 
@@ -622,6 +653,14 @@ mod tests {
         assert!(k.points > 0);
         let again = delta_kernel(true);
         assert_eq!(k.digest, again.digest, "digest must be run-to-run deterministic");
+    }
+
+    #[test]
+    fn dispatch_kernel_digest_pins_every_result() {
+        let k = dispatch_kernel(true);
+        assert_eq!(k.digest, "calls=200 items=2 sum=1000");
+        assert_eq!(k.points, 200);
+        assert!(k.ns_per_point() > 0.0);
     }
 
     #[test]

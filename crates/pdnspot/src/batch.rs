@@ -13,13 +13,15 @@
 //!   is built **exactly once** no matter how many PDNs or threads consume
 //!   it, with the row-invariant front half (bisection solve, virus
 //!   tables, per-domain hoists) computed once per row;
-//! * a scoped-thread worker pool (sized from
-//!   [`std::thread::available_parallelism`]) fans the `pdn × row`
-//!   task lattice out — each task runs the row kernel
-//!   ([`Pdn::evaluate_row`]) with a task-local lock-free
-//!   [`RowStage`] — and merges per-point results back into **stable
-//!   lattice order**, so parallel and serial runs return bit-identical
-//!   values;
+//! * a persistent worker pool fans the `pdn × row` task lattice out —
+//!   each task runs the row kernel ([`Pdn::evaluate_row`]) with a
+//!   task-local lock-free [`RowStage`] — and merges per-point results
+//!   back into **stable lattice order**, so parallel and serial runs
+//!   return bit-identical values. The calling thread is worker 0; the
+//!   other worker ids go to process-wide helper threads that park between
+//!   calls, so a fan-out pays no thread spawn in steady state, and
+//!   [`Workers::Auto`] reads [`std::thread::available_parallelism`] once
+//!   per process;
 //! * failures are captured **per point** — a scenario the solver cannot
 //!   bracket or a regulator that rejects an operating point records its
 //!   lattice coordinates ([`PdnError::Lattice`]) instead of aborting the
@@ -48,8 +50,10 @@ use pdn_units::{ApplicationRatio, Watts};
 use pdn_workload::WorkloadType;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+mod pool;
 
 /// A source of SoC specifications, one per TDP design point.
 ///
@@ -522,7 +526,10 @@ impl LatticeRow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Workers {
     /// One worker per available hardware thread (capped at the task
-    /// count).
+    /// count). The thread count is read from
+    /// [`std::thread::available_parallelism`] once per process and
+    /// cached: the query re-reads cgroup and affinity state, which costs
+    /// as much as a small fan-out.
     #[default]
     Auto,
     /// Single-threaded execution on the calling thread (the reference
@@ -539,18 +546,30 @@ impl Workers {
         let want = match self {
             Workers::Serial => 1,
             Workers::Fixed(n) => n.max(1),
-            Workers::Auto => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+            Workers::Auto => {
+                static AUTO: OnceLock<usize> = OnceLock::new();
+                *AUTO.get_or_init(|| {
+                    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+                })
+            }
         };
         want.min(tasks.max(1))
     }
 }
 
-/// Applies `f` to every item of `items` on a scoped worker pool,
+/// Applies `f` to every item of `items` on the batch worker pool,
 /// returning results in item order.
 ///
 /// This is the engine's scheduling primitive, exposed for other fan-outs
 /// (the figure kernels and the runtime interval simulator use it
-/// directly). Each worker owns a contiguous range of the items and pulls
+/// directly). The calling thread runs worker 0; the other workers are
+/// persistent pool helpers, parked between calls. A helper that has not
+/// picked the call up by the time the caller's own pass ends never
+/// joins, and the workers that ran steal its share. A `par_map` nested
+/// inside an `f` runs on its caller alone. A panic in `f` is re-raised
+/// on the caller once every worker of the call has stopped.
+///
+/// Each worker owns a contiguous range of the items and pulls
 /// chunks from it through an atomic claim cursor; a worker that drains
 /// its range steals chunks from the other ranges, so uneven item costs
 /// balance automatically while the common case — every worker busy on
@@ -596,6 +615,22 @@ where
     (run.results, stats)
 }
 
+/// One worker's pass of [`par_map_run_indexed`]: its `(index, result)`
+/// pairs and scheduling telemetry. A worker id that never ran keeps the
+/// all-zero default.
+struct WorkerRun<R> {
+    local: Vec<(usize, R)>,
+    stolen: usize,
+    idle_probes: usize,
+    wall: Duration,
+}
+
+impl<R> Default for WorkerRun<R> {
+    fn default() -> Self {
+        Self { local: Vec::new(), stolen: 0, idle_probes: 0, wall: Duration::ZERO }
+    }
+}
+
 /// The outcome of [`par_map_timed`]: ordered results plus scheduling
 /// telemetry.
 struct ParMapRun<R> {
@@ -617,7 +652,7 @@ where
 }
 
 /// The index-driven scheduling core: applies `f` to every index in
-/// `0..n` on a scoped worker pool and returns the results in index
+/// `0..n` on the batch worker pool and returns the results in index
 /// order. Fan-outs whose work items are pure index arithmetic (the
 /// `pdn × point` lattice of [`evaluate`]) drive this directly
 /// and never allocate a task list.
@@ -628,9 +663,12 @@ where
 /// per chunk, no sharing in the common case), then sweeps the other
 /// ranges in ring order stealing whatever chunks remain. Cursors only
 /// advance, so one sweep is exhaustive and every index is claimed
-/// exactly once. Which worker computes an index never affects the
-/// index's arithmetic, and the final index-keyed merge restores lattice
-/// order — results are bit-identical for every worker count.
+/// exactly once — even when some worker ids never run, because no
+/// helper picked them up in time (see [`pool`]). Which worker computes an
+/// index never affects the index's arithmetic, and the final index-keyed
+/// merge restores lattice order — results are bit-identical for every
+/// worker count. Telemetry keeps one slot per worker id; an id that
+/// never ran reports zero.
 fn par_map_run_indexed<R, F>(
     n: usize,
     workers: Workers,
@@ -641,7 +679,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let n_workers = workers.count(n);
+    // A fan-out inside another one's pass runs serially on its caller:
+    // the outer job already occupies the workers it asked for.
+    let n_workers = if pool::in_job() { 1 } else { workers.count(n) };
     if n_workers <= 1 {
         let start = Instant::now();
         let results = (0..n).map(&f).collect();
@@ -668,55 +708,49 @@ where
     // so an override is safe to expose as a tuning knob.
     let chunk = chunk_override.map_or_else(|| (base / 8).clamp(1, 16), |c| c.max(1));
 
-    let (mut pairs, worker_wall, worker_stolen, worker_idle_probes) = std::thread::scope(|scope| {
-        let ranges = &ranges;
-        let f = &f;
-        let handles: Vec<_> = (0..n_workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut local = Vec::new();
-                    let mut stolen = 0usize;
-                    let mut idle_probes = 0usize;
-                    for probe in 0..n_workers {
-                        let victim = (w + probe) % n_workers;
-                        let (cursor, end) = &ranges[victim];
-                        let mut claimed_any = false;
-                        loop {
-                            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= *end {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(*end);
-                            claimed_any = true;
-                            if probe > 0 {
-                                stolen += hi - lo;
-                            }
-                            for i in lo..hi {
-                                local.push((i, f(i)));
-                            }
-                        }
-                        if probe > 0 && !claimed_any {
-                            idle_probes += 1;
-                        }
-                    }
-                    (local, stolen, idle_probes, start.elapsed())
-                })
-            })
-            .collect();
-        let mut pairs = Vec::with_capacity(n);
-        let mut walls = Vec::with_capacity(n_workers);
-        let mut stolen = Vec::with_capacity(n_workers);
-        let mut idle = Vec::with_capacity(n_workers);
-        for handle in handles {
-            let (local, s, ip, wall) = handle.join().expect("batch worker panicked");
-            pairs.extend(local);
-            walls.push(wall);
-            stolen.push(s);
-            idle.push(ip);
+    let slots: Vec<Mutex<Option<WorkerRun<R>>>> =
+        (0..n_workers).map(|_| Mutex::new(None)).collect();
+    pool::POOL.run(n_workers, &|w| {
+        let start = Instant::now();
+        let mut local = Vec::new();
+        let mut stolen = 0usize;
+        let mut idle_probes = 0usize;
+        for probe in 0..n_workers {
+            let victim = (w + probe) % n_workers;
+            let (cursor, end) = &ranges[victim];
+            let mut claimed_any = false;
+            loop {
+                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if lo >= *end {
+                    break;
+                }
+                let hi = (lo + chunk).min(*end);
+                claimed_any = true;
+                if probe > 0 {
+                    stolen += hi - lo;
+                }
+                for i in lo..hi {
+                    local.push((i, f(i)));
+                }
+            }
+            if probe > 0 && !claimed_any {
+                idle_probes += 1;
+            }
         }
-        (pairs, walls, stolen, idle)
+        let run = WorkerRun { local, stolen, idle_probes, wall: start.elapsed() };
+        *slots[w].lock().unwrap_or_else(PoisonError::into_inner) = Some(run);
     });
+    let mut pairs = Vec::with_capacity(n);
+    let mut worker_wall = Vec::with_capacity(n_workers);
+    let mut worker_stolen = Vec::with_capacity(n_workers);
+    let mut worker_idle_probes = Vec::with_capacity(n_workers);
+    for slot in slots {
+        let run = slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_default();
+        pairs.extend(run.local);
+        worker_wall.push(run.wall);
+        worker_stolen.push(run.stolen);
+        worker_idle_probes.push(run.idle_probes);
+    }
     pairs.sort_unstable_by_key(|&(i, _)| i);
     ParMapRun {
         results: pairs.into_iter().map(|(_, r)| r).collect(),
@@ -1799,6 +1833,86 @@ mod tests {
         assert!(stats.total_stolen() >= 9, "items 1..9 must be stolen: {stats:?}");
         let footer = stats.to_string();
         assert!(footer.contains("stolen"), "{footer}");
+    }
+
+    #[test]
+    fn helper_panic_reaches_the_caller_and_the_pool_keeps_serving() {
+        // Worker 0 (the caller) owns item 0 and holds it until a helper
+        // has run item 1, which then panics — so the panic is a helper's.
+        let caller = std::thread::current().id();
+        let helper_ran = std::sync::atomic::AtomicBool::new(false);
+        let items = [0usize, 1];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(&items, Workers::Fixed(2), |i, &x| {
+                if i == 0 {
+                    while !helper_ran.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    assert_ne!(std::thread::current().id(), caller, "item 1 ran on the caller");
+                    helper_ran.store(true, Ordering::Release);
+                    panic!("helper boom");
+                }
+                x
+            })
+        }));
+        let payload = outcome.expect_err("the helper's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper boom"));
+        // The pool still serves jobs that need a helper to make progress.
+        let done = AtomicUsize::new(0);
+        let out = par_map(&items, Workers::Fixed(2), |i, &x| {
+            if i == 0 {
+                while done.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+            } else {
+                done.store(1, Ordering::Release);
+            }
+            x * 5
+        });
+        assert_eq!(out, vec![0, 5]);
+    }
+
+    #[test]
+    fn nested_par_map_completes_bit_identically_to_serial() {
+        let outer: Vec<f64> = (0..6).map(|i| 1.0 + f64::from(i) * 0.37).collect();
+        let inner: Vec<f64> = (0..40).map(|i| f64::from(i).sqrt()).collect();
+        let run = |workers: Workers| {
+            par_map(&outer, workers, |_, &a| {
+                par_map(&inner, workers, |j, &b| (a * b).sin() + j as f64 / a)
+                    .iter()
+                    .fold(0.0, |acc, v| acc + v)
+            })
+        };
+        let serial = run(Workers::Serial);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for workers in [Workers::Fixed(2), Workers::Fixed(3), Workers::Auto] {
+            assert_eq!(bits(&run(workers)), bits(&serial), "{workers:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_match_serial() {
+        let params = ModelParams::paper_defaults();
+        let ivr = IvrPdn::new(params.clone());
+        let mbvr = MbvrPdn::new(params);
+        let pdns: [&dyn Pdn; 2] = [&ivr, &mbvr];
+        let grid = small_grid();
+        let serial = evaluate(&pdns, &grid, &ClientSoc, &config_for(Workers::Serial), None);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for caller in 0..4 {
+                let (pdns, grid, serial, start) = (&pdns, &grid, &serial, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..25 {
+                        let workers = Workers::Fixed(2 + (caller + round) % 3);
+                        let got = evaluate(pdns, grid, &ClientSoc, &config_for(workers), None);
+                        assert_eq!(got.evaluations, serial.evaluations, "{workers:?}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

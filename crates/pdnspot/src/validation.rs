@@ -22,6 +22,7 @@
 
 use crate::batch::{par_map, Workers};
 use crate::error::PdnError;
+use crate::etee::PdnEvaluation;
 use crate::scenario::Scenario;
 use crate::topology::Pdn;
 use pdn_units::{Efficiency, Volts, Watts};
@@ -111,10 +112,11 @@ impl ReferenceSystem {
     /// power is re-integrated through the unit's tabulated surfaces, with
     /// bias and instrument noise applied.
     ///
-    /// Equivalent to [`ReferenceSystem::reintegrate`] followed by one
-    /// noise draw; batch campaigns use the two halves separately so the
-    /// pure reintegration can fan out across workers while noise is
-    /// drawn serially in measurement order.
+    /// Equivalent to one model evaluation, [`ReferenceSystem::reintegrate`]
+    /// of that evaluation, and one noise draw; batch campaigns use the
+    /// halves separately so the pure evaluation and reintegration can fan
+    /// out across workers while noise is drawn serially in measurement
+    /// order.
     ///
     /// # Errors
     ///
@@ -125,21 +127,17 @@ impl ReferenceSystem {
         pdn: &dyn Pdn,
         scenario: &Scenario,
     ) -> Result<Watts, PdnError> {
-        Ok(self.reintegrate(pdn, scenario)? * self.noise_factor())
+        let eval = pdn.evaluate(scenario)?;
+        Ok(self.reintegrate(&eval, pdn.params().supply_voltage) * self.noise_factor())
     }
 
-    /// The deterministic half of a measurement: evaluates `pdn`, then
-    /// re-integrates each rail's input power through the unit's tabulated
-    /// surfaces with the per-unit bias applied — everything except the
+    /// The deterministic half of a measurement: re-integrates each rail
+    /// of a model evaluation `eval` — whose rail structure the bench unit
+    /// shares — through the unit's tabulated surfaces fed from `supply`,
+    /// with the per-unit bias applied. Everything except the
     /// per-measurement instrument noise. Pure: safe to fan out across
     /// batch workers in any order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model evaluation errors.
-    pub fn reintegrate(&self, pdn: &dyn Pdn, scenario: &Scenario) -> Result<Watts, PdnError> {
-        let eval = pdn.evaluate(scenario)?;
-        let supply = pdn.params().supply_voltage;
+    pub fn reintegrate(&self, eval: &PdnEvaluation, supply: Volts) -> Watts {
         let mut measured = Watts::ZERO;
         for rail in &eval.rails {
             if rail.input_power.get() <= 0.0 {
@@ -178,7 +176,7 @@ impl ReferenceSystem {
             };
             measured += remeasured;
         }
-        Ok(measured * self.unit_bias)
+        measured * self.unit_bias
     }
 
     /// Draws one multiplicative instrument-noise factor. Stateful: the
@@ -291,7 +289,7 @@ pub fn validate_with(
 ) -> Result<ValidationReport, PdnError> {
     let measured = par_map(scenarios, workers, |_, scenario| {
         let eval = pdn.evaluate(scenario)?;
-        let reintegrated = reference.reintegrate(pdn, scenario)?;
+        let reintegrated = reference.reintegrate(&eval, pdn.params().supply_voltage);
         Ok::<_, PdnError>((eval, reintegrated))
     });
     let mut samples = Vec::with_capacity(scenarios.len());
