@@ -3,8 +3,7 @@
 //!
 //! Each `fig*`/`tables`/`observations` module computes one paper artefact
 //! and renders it as aligned text rows (the series a plot would show).
-//! One binary per artefact lives in `src/bin/`; Criterion benches in
-//! `benches/` time the same entry points.
+//! One binary per artefact lives in `src/bin/`.
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|
@@ -19,12 +18,14 @@
 //! | Fig. 8a–e (perf/battery/BOM/area) | [`fig8`] | `fig8` |
 //! | §6 overheads | [`overheads`] | `overhead` |
 //! | §5 observations / crossovers | [`observations`] | `observations` |
+//! | Predictor table-resolution ablation | [`ablation`] | `ablation_predictor` |
 //! | Fault campaign (robustness) | [`faults`] | `faults` |
 //! | Perf baseline (`BENCH_batch.json`) | [`perf`] | `perf` |
 //! | Trace ingestion (`BENCH_trace.json`) | [`tracebench`] | `trace` |
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod faults;
 pub mod fig2;
 pub mod fig3;

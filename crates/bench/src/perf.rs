@@ -132,8 +132,7 @@ fn digest_f64(x: f64) -> String {
     format!("{x:.17e}")
 }
 
-/// The batch-sweep lattice (the `benches/batch_sweep.rs` lattice; `quick`
-/// trims the axes for the CI smoke job).
+/// The batch-sweep lattice (`quick` trims the axes for the CI smoke job).
 fn sweep_grid(quick: bool) -> SweepGrid {
     let tdps: &[f64] =
         if quick { &[4.0, 18.0, 50.0] } else { &[4.0, 10.0, 18.0, 25.0, 36.0, 44.0, 50.0] };

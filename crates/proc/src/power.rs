@@ -153,12 +153,6 @@ impl DomainPowerModel {
         let leak = self.leakage_power(voltage, temperature);
         Ratio::new(leak.get() / total.get()).expect("fraction of positive powers is valid")
     }
-
-    /// Applies the Eq. 2 guardband to a nominal power at this domain's
-    /// design leakage fraction.
-    pub fn with_guardband(&self, p_nom: Watts, v_nom: Volts, v_gb: Volts) -> Watts {
-        guardband_power(p_nom, self.guardband_leakage_fraction, v_nom, v_gb, self.leak_voltage_exp)
-    }
 }
 
 #[cfg(test)]

@@ -294,13 +294,6 @@ impl AdmissionQueue {
     }
 }
 
-/// The response an over-capacity queue sends back (kept for the
-/// stdio/test paths; the classified form is [`Rejection::response`]).
-#[must_use]
-pub fn overloaded_response(id: u64, depth: usize) -> Response {
-    Rejection::Overloaded { depth }.response(id)
-}
-
 /// The response a closed (shutting-down) queue sends back.
 #[must_use]
 pub fn shutdown_response(id: u64) -> Response {

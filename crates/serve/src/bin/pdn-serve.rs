@@ -1,9 +1,6 @@
-//! The `pdn-serve` CLI: `serve` boots the daemon (TCP or stdio),
-//! `bench` runs the synthetic load generator and writes
-//! `BENCH_serve.json`, and `chaos` runs the seeded fault campaign and
-//! writes `BENCH_chaos.json`.
+//! The `pdn-serve` CLI: `serve` boots the daemon (TCP or stdio), and
+//! `chaos` runs the seeded fault campaign and writes `BENCH_chaos.json`.
 
-use pdn_serve::bench::{self, BenchConfig};
 use pdn_serve::chaos::{self, CampaignConfig};
 use pdn_serve::engine::ServeEngine;
 use pdn_serve::{server, snapshot};
@@ -19,18 +16,12 @@ USAGE:
     pdn-serve serve [--addr HOST:PORT] [--stdio] [--snapshot PATH]
                     [--workers N] [--memo-capacity N] [--memo-shards N]
                     [--admission-depth N]
-    pdn-serve bench [--quick] [--clients N] [--requests N]
-                    [--connections N] [--window N] [--tenants N]
-                    [--universe N] [--zipf S] [--seed N] [--out PATH]
     pdn-serve chaos [--quick] [--seeds A,B,C] [--out PATH]
 
 serve: answer framed protocol requests. With --snapshot, warm state is
 restored from PATH (or the newest intact rotated generation; total
 corruption cold-starts) and the Snapshot request persists back to it.
 --stdio serves stdin/stdout instead of a socket.
-
-bench: boot an in-process daemon, replay zipf-skewed querents, verify
-snapshot/restore, and write the JSON report (default BENCH_serve.json).
 
 chaos: run the seeded chaos campaign (mid-frame disconnects, stalled
 writes, floods, slow readers, engine faults) at every seed, assert the
@@ -118,34 +109,6 @@ fn run_serve(mut args: std::iter::Peekable<std::env::Args>) -> Result<(), String
     }
 }
 
-fn run_bench(mut args: std::iter::Peekable<std::env::Args>) -> Result<(), String> {
-    let mut cfg = BenchConfig::default();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => {
-                let out = cfg.out.clone();
-                cfg = BenchConfig { out, ..BenchConfig::quick() };
-            }
-            "--clients" => cfg.clients = parse_flag(&mut args, "--clients")?,
-            "--requests" => cfg.requests = parse_flag(&mut args, "--requests")?,
-            "--connections" => cfg.connections = parse_flag(&mut args, "--connections")?,
-            "--window" => cfg.window = parse_flag(&mut args, "--window")?,
-            "--tenants" => cfg.tenants = parse_flag(&mut args, "--tenants")?,
-            "--universe" => cfg.universe = parse_flag(&mut args, "--universe")?,
-            "--zipf" => cfg.zipf_exponent = parse_flag(&mut args, "--zipf")?,
-            "--seed" => cfg.seed = parse_flag(&mut args, "--seed")?,
-            "--out" => cfg.out = Some(parse_flag(&mut args, "--out")?),
-            other => return Err(format!("unknown bench flag {other:?}\n\n{USAGE}")),
-        }
-    }
-    let report = bench::run(&cfg)?;
-    println!("{report}");
-    if let Some(out) = &cfg.out {
-        println!("report written to {}", out.display());
-    }
-    Ok(())
-}
-
 fn run_chaos(mut args: std::iter::Peekable<std::env::Args>) -> Result<(), String> {
     let mut cfg = CampaignConfig::default();
     while let Some(arg) = args.next() {
@@ -185,7 +148,6 @@ fn main() -> ExitCode {
     let _binary = args.next();
     let result = match args.next().as_deref() {
         Some("serve") => run_serve(args),
-        Some("bench") => run_bench(args),
         Some("chaos") => run_chaos(args),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");

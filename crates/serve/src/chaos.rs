@@ -254,8 +254,8 @@ pub const POISON_RANK: usize = 3;
 /// from (small, so coalescing and the poison rank both recur).
 pub const CHAOS_UNIVERSE: usize = 96;
 
-/// The design point behind a universe rank (same scheme as the bench:
-/// a pure function of the rank).
+/// The design point behind a universe rank (a pure function of the
+/// rank).
 #[must_use]
 pub fn chaos_point(rank: usize) -> (PdnId, PointSpec) {
     let pdn = PdnId::ALL[rank % PdnId::ALL.len()];

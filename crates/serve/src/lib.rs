@@ -25,8 +25,6 @@
 //! * [`admission`] — the bounded queue and coalescing dispatcher.
 //! * [`snapshot`] — warm memo shards + predictor firmware on disk.
 //! * [`server`] — TCP/stdio transports and the framed [`Client`].
-//! * [`bench`] — the zipf-skewed synthetic load generator behind
-//!   `pdn-serve bench` and `BENCH_serve.json`.
 //! * [`chaos`] — the seeded chaos campaign behind `pdn-serve chaos`
 //!   and `BENCH_chaos.json`.
 //!
@@ -40,7 +38,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod admission;
-pub mod bench;
 pub mod chaos;
 pub mod engine;
 pub mod protocol;
@@ -49,7 +46,6 @@ pub mod snapshot;
 pub mod wire;
 
 pub use admission::{AdmissionQueue, Job, Rejection, ReplyHandle};
-pub use bench::{BenchConfig, BenchReport};
 pub use chaos::{CampaignConfig, ChaosCampaignReport, ChaosConfig, ChaosMix, ChaosPlan};
 pub use engine::{
     FaultInjector, InjectedFault, ServeEngine, TenantState, POISON_THRESHOLD, SERVE_ARS, SERVE_TDPS,

@@ -1,5 +1,5 @@
 //! Transports: the TCP daemon loop, the stdio loop, and the framed
-//! client used by tests, the bench harness, and the CLI.
+//! client used by tests, the chaos campaign, and the benchmark harness.
 //!
 //! Both transports funnel every decoded request through the same
 //! [`AdmissionQueue`] and dispatcher, so admission control and

@@ -42,7 +42,6 @@
 pub mod batterylife;
 pub mod codec;
 pub mod graphics;
-pub mod mixes;
 pub mod spec;
 pub mod synthetic;
 pub mod trace;
@@ -51,7 +50,6 @@ pub mod zoo;
 
 pub use batterylife::{BatteryLifeWorkload, ResidencyProfile};
 pub use graphics::GraphicsBenchmark;
-pub use mixes::MultiProgrammedMix;
 pub use spec::SpecBenchmark;
 pub use synthetic::TraceGenerator;
 pub use trace::{Phase, Trace, TraceInterval, WorkloadType};

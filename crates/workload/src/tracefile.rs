@@ -492,12 +492,6 @@ impl<W: Write> TraceFileWriter<W> {
         Ok(())
     }
 
-    /// Intervals written so far (including those still pending in the
-    /// current partial chunk).
-    pub fn intervals_written(&self) -> u64 {
-        self.total_intervals
-    }
-
     fn flush_chunk(&mut self) -> Result<(), TraceFileError> {
         if self.pending.is_empty() {
             return Ok(());
@@ -1140,15 +1134,6 @@ pub fn encode_trace(trace: &Trace, chunk_capacity: usize) -> Result<Vec<u8>, Tra
     writer.finish()
 }
 
-/// Writes a whole trace to `path` with [`DEFAULT_CHUNK_INTERVALS`].
-///
-/// # Errors
-///
-/// Same conditions as [`write_trace_chunked`].
-pub fn write_trace(path: impl AsRef<Path>, trace: &Trace) -> Result<(), TraceFileError> {
-    write_trace_chunked(path, trace, DEFAULT_CHUNK_INTERVALS)
-}
-
 /// Writes a whole trace to `path` with an explicit chunk capacity.
 ///
 /// # Errors
@@ -1165,21 +1150,6 @@ pub fn write_trace_chunked(
     writer.push_trace(trace)?;
     writer.finish()?;
     Ok(())
-}
-
-/// Reads a whole trace file into memory (small files, tests, tooling —
-/// streaming replay should use [`TraceReader`] directly).
-///
-/// # Errors
-///
-/// Same conditions as [`TraceReader::open`] and
-/// [`TraceReader::next_interval`].
-pub fn read_trace(
-    path: impl AsRef<Path>,
-    policy: DefectPolicy,
-) -> Result<(Trace, ReadSummary), TraceFileError> {
-    let mut reader = TraceReader::open(path, policy)?;
-    collect_trace(&mut reader)
 }
 
 /// Decodes a whole in-memory encoding (tests, tooling).
