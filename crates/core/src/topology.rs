@@ -66,6 +66,9 @@ impl fmt::Display for PdnMode {
 pub struct FlexWattsPdn {
     params: ModelParams,
     mode: PdnMode,
+    /// [`Pdn::memo_token`], fixed at construction (`params` and `mode`
+    /// never change).
+    token: u64,
     vin_vr: BuckConverter,
     sa_vr: BuckConverter,
     io_vr: BuckConverter,
@@ -83,6 +86,8 @@ impl FlexWattsPdn {
             })
         });
         Self {
+            // Flavor 0 is IVR-Mode, 1 LDO-Mode (the enum's declaration order).
+            token: pdn_memo_token(PdnKind::FlexWatts, mode as u64, &params),
             params,
             mode,
             vin_vr: presets::flexwatts_vin_vr(),
@@ -322,11 +327,7 @@ impl Pdn for FlexWattsPdn {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        let flavor = match self.mode {
-            PdnMode::IvrMode => 0,
-            PdnMode::LdoMode => 1,
-        };
-        Some(pdn_memo_token(PdnKind::FlexWatts, flavor, &self.params))
+        Some(self.token)
     }
 
     /// FlexWatts's off-chip rails carry the **IVR-Mode rating** (§7: "the
@@ -413,12 +414,17 @@ pub const MODE_CROSSOVER_TDP: f64 = 18.0;
 pub struct FlexWattsAuto {
     ivr: FlexWattsPdn,
     ldo: FlexWattsPdn,
+    /// [`Pdn::memo_token`], fixed at construction. Flavor 255 keeps the
+    /// better-of-both-modes result distinct from either fixed mode's
+    /// cache entries.
+    token: u64,
 }
 
 impl FlexWattsAuto {
     /// Builds the auto-mode FlexWatts PDN.
     pub fn new(params: ModelParams) -> Self {
         Self {
+            token: pdn_memo_token(PdnKind::FlexWatts, 255, &params),
             ivr: FlexWattsPdn::new(params.clone(), PdnMode::IvrMode),
             ldo: FlexWattsPdn::new(params, PdnMode::LdoMode),
         }
@@ -452,9 +458,7 @@ impl Pdn for FlexWattsAuto {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        // Flavor 255 keeps the better-of-both-modes result distinct from
-        // either fixed mode's cache entries.
-        Some(pdn_memo_token(PdnKind::FlexWatts, 255, self.ivr.params()))
+        Some(self.token)
     }
 
     fn offchip_rails(&self, soc: &pdn_proc::SocSpec) -> Result<Vec<OffchipRail>, PdnError> {

@@ -43,14 +43,15 @@ use crate::config::EngineConfig;
 use crate::error::PdnError;
 use crate::etee::{PdnEvaluation, RowStage};
 use crate::memo::MemoCache;
-use crate::scenario::{DomainLoad, Scenario};
+use crate::scenario::staging::{self, SocStaging};
+use crate::scenario::Scenario;
 use crate::topology::Pdn;
-use pdn_proc::{DomainTable, PackageCState, SocSpec};
+use pdn_proc::{PackageCState, SocSpec};
 use pdn_units::{ApplicationRatio, Watts};
 use pdn_workload::WorkloadType;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 mod pool;
@@ -768,37 +769,42 @@ where
 /// scenarios in one call through the row constructors (which hoist the
 /// bisection solve, virus tables, and per-domain power terms out of the
 /// per-point loop); concurrent requesters block until the row is ready,
-/// and every later lookup is a hit.
+/// and every later lookup is a hit. When the run has a memo, the row
+/// also carries its scenarios' fingerprints, computed once and shared by
+/// every PDN task of the row.
 struct ScenarioCache<'g, P: ?Sized> {
     grid: &'g SweepGrid,
     provider: &'g P,
-    socs: Vec<OnceLock<SocSpec>>,
-    /// Per-(TDP, workload type) fixed-TDP frequency scalars. The 48-step
-    /// bisection behind [`Scenario::active_fixed_tdp_frequency`] is
-    /// AR-independent, so a whole AR row shares one solve.
-    solved_t: Vec<OnceLock<Result<f64, PdnError>>>,
-    /// Per-TDP active-point (TDP-sized) virus load tables.
-    active_virus: Vec<OnceLock<[DomainTable<DomainLoad>; 2]>>,
+    /// Per-TDP SoC and its process-wide staging slot (the fixed-TDP
+    /// frequency solves and virus tables), looked up once per SoC.
+    socs: Vec<OnceLock<(SocSpec, Arc<SocStaging>)>>,
+    /// Whether rows carry scenario fingerprints (only a memo reads them).
+    fingerprint: bool,
     /// Validated AR axis plus each AR's formatted name suffix, built once
     /// per sweep: the fixed-precision float `Display` in a scenario name
     /// costs more than the rest of the point's construction, and the
     /// suffix set is shared by every active row.
     #[allow(clippy::type_complexity)]
     ar_axis: OnceLock<Result<(Vec<ApplicationRatio>, Vec<String>), PdnError>>,
-    rows: Vec<OnceLock<Result<Vec<Scenario>, PdnError>>>,
+    rows: Vec<OnceLock<Result<CachedRow, PdnError>>>,
     lookups: AtomicUsize,
     builds: AtomicUsize,
 }
 
+/// One built lattice row: its scenarios and, when the run has a memo,
+/// their [`Scenario::fingerprint`]s (index-aligned; empty otherwise).
+struct CachedRow {
+    scenarios: Vec<Scenario>,
+    fingerprints: Vec<u64>,
+}
+
 impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
-    fn new(grid: &'g SweepGrid, provider: &'g P) -> Self {
-        let n_tdps = grid.tdps.len();
+    fn new(grid: &'g SweepGrid, provider: &'g P, fingerprint: bool) -> Self {
         Self {
             grid,
             provider,
-            socs: (0..n_tdps).map(|_| OnceLock::new()).collect(),
-            solved_t: (0..n_tdps * grid.workload_types.len()).map(|_| OnceLock::new()).collect(),
-            active_virus: (0..n_tdps).map(|_| OnceLock::new()).collect(),
+            socs: (0..grid.tdps.len()).map(|_| OnceLock::new()).collect(),
+            fingerprint,
             ar_axis: OnceLock::new(),
             rows: (0..grid.n_rows()).map(|_| OnceLock::new()).collect(),
             lookups: AtomicUsize::new(0),
@@ -806,14 +812,12 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
         }
     }
 
-    fn soc(&self, tdp_idx: usize) -> &SocSpec {
-        self.socs[tdp_idx]
-            .get_or_init(|| self.provider.soc_for(Watts::new(self.grid.tdps[tdp_idx])))
-    }
-
-    fn solved_t(&self, tdp_idx: usize, wl_idx: usize, soc: &SocSpec) -> &Result<f64, PdnError> {
-        self.solved_t[tdp_idx * self.grid.workload_types.len() + wl_idx]
-            .get_or_init(|| Scenario::solve_t_fixed_tdp(soc, self.grid.workload_types[wl_idx]))
+    fn soc(&self, tdp_idx: usize) -> &(SocSpec, Arc<SocStaging>) {
+        self.socs[tdp_idx].get_or_init(|| {
+            let soc = self.provider.soc_for(Watts::new(self.grid.tdps[tdp_idx]));
+            let slot = staging::for_soc(&soc);
+            (soc, slot)
+        })
     }
 
     fn ar_axis(&self) -> &Result<(Vec<ApplicationRatio>, Vec<String>), PdnError> {
@@ -829,38 +833,36 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
         })
     }
 
-    fn active_virus(&self, tdp_idx: usize, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
-        *self.active_virus[tdp_idx].get_or_init(|| Scenario::tdp_virus_loads(soc))
-    }
-
     /// Builds one row's scenarios through the row constructors.
     /// Bit-identical to the unstaged per-point [`Scenario`] constructors:
     /// the hoisted values are exactly what those constructors would
     /// recompute at every point of the row.
     fn build_row(&self, row: LatticeRow) -> Result<Vec<Scenario>, PdnError> {
-        let soc = self.soc(row.tdp_idx());
+        let (soc, slot) = self.soc(row.tdp_idx());
         match row {
-            LatticeRow::Active { tdp_idx, wl_idx } => {
+            LatticeRow::Active { wl_idx, .. } => {
                 let (ars, suffixes) = match self.ar_axis() {
                     Ok(axis) => axis,
                     Err(e) => return Err(e.clone()),
                 };
-                let t = self.solved_t(tdp_idx, wl_idx, soc).clone()?;
-                let virus = self.active_virus(tdp_idx, soc);
+                let wl = self.grid.workload_types[wl_idx];
+                let t = slot.solved_t(soc, wl)?;
                 Scenario::active_fixed_tdp_row_staged(
                     soc,
-                    self.grid.workload_types[wl_idx],
+                    wl,
                     ars,
                     suffixes,
                     t,
-                    &virus,
+                    &slot.tdp_virus(soc),
                 )
             }
-            LatticeRow::Idle { .. } => Ok(Scenario::idle_row(soc, &self.grid.idle_states)),
+            LatticeRow::Idle { .. } => {
+                Ok(Scenario::idle_row_staged(soc, &self.grid.idle_states, slot.fmin_virus(soc)))
+            }
         }
     }
 
-    fn row(&self, row_idx: usize, row: LatticeRow) -> &Result<Vec<Scenario>, PdnError> {
+    fn row(&self, row_idx: usize, row: LatticeRow) -> &Result<CachedRow, PdnError> {
         // Counters advance per *point* so hit rates stay comparable with
         // the historical per-point cache: one row request counts one
         // lookup per point it covers, and a build counts every point it
@@ -872,20 +874,23 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
             // Failures are stored pre-shared: every PDN consuming the
             // row clones the error, and a clone of a shared error is a
             // refcount bump instead of a deep copy.
-            self.build_row(row).map_err(|e| {
+            let scenarios = self.build_row(row).map_err(|e| {
                 PdnError::Lattice {
                     pdn: None,
                     point: self.grid.describe_row(row),
                     source: Box::new(e),
                 }
                 .into_shared()
-            })
+            })?;
+            let keyed = if self.fingerprint { &scenarios[..] } else { &[] };
+            let fingerprints = keyed.iter().map(Scenario::fingerprint).collect();
+            Ok(CachedRow { scenarios, fingerprints })
         })
     }
 
     /// Consumes the cache, yielding the rows in lattice order (unvisited
     /// rows stay unbuilt and come back as `None`).
-    fn into_rows(self) -> Vec<Option<Result<Vec<Scenario>, PdnError>>> {
+    fn into_rows(self) -> Vec<Option<Result<CachedRow, PdnError>>> {
         self.rows.into_iter().map(OnceLock::into_inner).collect()
     }
 }
@@ -1109,7 +1114,7 @@ pub fn evaluate(
     let n_points = grid.n_points();
     let n_rows = grid.n_rows();
     let n_tasks = pdns.len() * n_rows;
-    let cache = ScenarioCache::new(grid, provider);
+    let cache = ScenarioCache::new(grid, provider, memo.is_some());
     let memo_before = memo.map(MemoCache::stats);
 
     let run = par_map_run_indexed(n_tasks, config.workers(), config.chunk_size(), |task_idx| {
@@ -1118,15 +1123,17 @@ pub fn evaluate(
         let row = grid.row_at(row_idx);
         let span = grid.row_span(row);
         match cache.row(row_idx, row) {
-            Ok(scenarios) => {
+            Ok(row) => {
                 let pdn = pdns[pdn_idx];
                 // The stage is task-local: one worker owns it for the
                 // row's lifetime, so its caches need no locks, and no
                 // state leaks between rows.
                 let stage = RowStage::new();
                 let results = match memo {
-                    Some(m) => m.evaluate_row(pdn, scenarios, &stage),
-                    None => pdn.evaluate_row(scenarios, &stage),
+                    Some(m) => {
+                        m.evaluate_row_fingerprinted(pdn, &row.scenarios, &row.fingerprints, &stage)
+                    }
+                    None => pdn.evaluate_row(&row.scenarios, &stage),
                 };
                 results
                     .into_iter()
@@ -1372,7 +1379,7 @@ pub fn build_scenarios(
     let start = Instant::now();
     let n_points = grid.n_points();
     let n_rows = grid.n_rows();
-    let cache = ScenarioCache::new(grid, provider);
+    let cache = ScenarioCache::new(grid, provider, false);
     let run = par_map_run_indexed(n_rows, workers, None, |row_idx| {
         cache.row(row_idx, grid.row_at(row_idx)).is_ok()
     });
@@ -1382,7 +1389,7 @@ pub fn build_scenarios(
     for (row_idx, slot) in cache.into_rows().into_iter().enumerate() {
         let len = grid.row_span(grid.row_at(row_idx)).len();
         match slot.expect("every row was visited") {
-            Ok(row) => scenarios.extend(row.into_iter().map(Ok)),
+            Ok(row) => scenarios.extend(row.scenarios.into_iter().map(Ok)),
             Err(e) => scenarios.extend((0..len).map(|_| Err(e.clone()))),
         }
     }

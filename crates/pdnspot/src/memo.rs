@@ -11,6 +11,13 @@
 //!   no rounding — so two lookups collide only when every input a power
 //!   model reads is numerically identical, and the cached value is the very
 //!   value a recomputation would produce, bit for bit.
+//! * **Each key input is hashed once**: a topology fixes its token at
+//!   construction; the batch engine fingerprints each row once for all its
+//!   PDN tasks, the crossover bisection each probe once for both PDNs; a
+//!   scenario constructor hashes the SoC once per staging-cache lookup.
+//! * **Persisted**: [`Scenario::fingerprint`] and [`ModelParams::fingerprint`]
+//!   values live in exported [`MemoEntry`]s and so in `pdn-serve`
+//!   snapshots; changing either turns every stored entry into a dead key.
 //! * **Sharding**: keys are striped over independently locked shards so
 //!   parallel batch workers rarely contend on the same mutex.
 //! * **Bounded capacity**: each shard evicts in FIFO order past its
@@ -29,7 +36,7 @@ use pdn_proc::SocSpec;
 use pdn_workload::codec::Fnv1a;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The `(PDN identity, scenario fingerprint)` cache key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,6 +58,11 @@ impl MemoKey {
 struct Shard {
     map: HashMap<MemoKey, PdnEvaluation>,
     order: VecDeque<MemoKey>,
+}
+
+/// Locks a shard; a poisoned shard still holds only complete entries.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Counter snapshot of a [`MemoCache`].
@@ -185,8 +197,9 @@ impl MemoCache {
         self.capacity_per_shard * self.shards.len()
     }
 
-    fn shard_of(&self, key: MemoKey) -> &Mutex<Shard> {
-        &self.shards[(key.mixed() % self.shards.len() as u64) as usize]
+    /// The locked shard `key` stripes to.
+    fn shard_of(&self, key: MemoKey) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(key.mixed() % self.shards.len() as u64) as usize])
     }
 
     /// Evaluates `pdn` on `scenario` through the cache.
@@ -195,44 +208,55 @@ impl MemoCache {
     ///
     /// Propagates the underlying evaluation error (never cached).
     pub fn evaluate(&self, pdn: &dyn Pdn, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
+        // Only a keyed lookup reads the fingerprint; a bypass skips it.
+        let fingerprint = pdn.memo_token().map_or(0, |_| scenario.fingerprint());
+        self.evaluate_fingerprinted(pdn, scenario, fingerprint)
+    }
+
+    /// [`MemoCache::evaluate`] with `scenario`'s
+    /// [`Scenario::fingerprint`] supplied by the caller, so one
+    /// fingerprint serves every PDN evaluated at the same scenario.
+    pub(crate) fn evaluate_fingerprinted(
+        &self,
+        pdn: &dyn Pdn,
+        scenario: &Scenario,
+        fingerprint: u64,
+    ) -> Result<PdnEvaluation, PdnError> {
         let Some(token) = pdn.memo_token() else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return pdn.evaluate(scenario);
         };
-        let key = MemoKey { pdn: token, scenario: scenario.fingerprint() };
-        if let Some(hit) = self
-            .shard_of(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .map
-            .get(&key)
-        {
+        let key = MemoKey { pdn: token, scenario: fingerprint };
+        let hit = self.shard_of(key).map.get(&key).cloned();
+        if let Some(hit) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
+            return Ok(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = pdn.evaluate(scenario)?;
-        self.insert(key, &value);
+        self.insert(key, value.clone());
         Ok(value)
     }
 
-    /// Inserts one evaluation under `key`, keeping any racing insertion.
+    /// Inserts one evaluation under `key`, evicting the shard's oldest
+    /// entry past its capacity. Returns whether the entry was added.
     ///
     /// A racing worker may have inserted the same key; both computed
     /// identical bits, so keeping the first insertion is safe.
-    fn insert(&self, key: MemoKey, value: &PdnEvaluation) {
-        let mut shard =
-            self.shard_of(key).lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !shard.map.contains_key(&key) {
-            if shard.order.len() >= self.capacity_per_shard {
-                if let Some(oldest) = shard.order.pop_front() {
-                    shard.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            shard.order.push_back(key);
-            shard.map.insert(key, value.clone());
+    fn insert(&self, key: MemoKey, value: PdnEvaluation) -> bool {
+        let mut shard = self.shard_of(key);
+        if shard.map.contains_key(&key) {
+            return false;
         }
+        if shard.order.len() >= self.capacity_per_shard {
+            if let Some(oldest) = shard.order.pop_front() {
+                shard.map.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        shard.order.push_back(key);
+        shard.map.insert(key, value);
+        true
     }
 
     /// Evaluates a whole lattice row through the cache with one bulk
@@ -252,23 +276,31 @@ impl MemoCache {
         scenarios: &[Scenario],
         row: &RowStage,
     ) -> Vec<Result<PdnEvaluation, PdnError>> {
+        let keyed = if pdn.memo_token().is_some() { scenarios } else { &[] };
+        let fingerprints: Vec<u64> = keyed.iter().map(Scenario::fingerprint).collect();
+        self.evaluate_row_fingerprinted(pdn, scenarios, &fingerprints, row)
+    }
+
+    /// [`MemoCache::evaluate_row`] with each scenario's
+    /// [`Scenario::fingerprint`] supplied by the caller (index-aligned
+    /// with `scenarios`), so every PDN evaluating the same row shares one
+    /// set. `fingerprints` may be empty for a PDN without a token.
+    pub(crate) fn evaluate_row_fingerprinted(
+        &self,
+        pdn: &dyn Pdn,
+        scenarios: &[Scenario],
+        fingerprints: &[u64],
+        row: &RowStage,
+    ) -> Vec<Result<PdnEvaluation, PdnError>> {
         let Some(token) = pdn.memo_token() else {
             self.bypasses.fetch_add(scenarios.len() as u64, Ordering::Relaxed);
             return pdn.evaluate_row(scenarios, row);
         };
+        assert_eq!(scenarios.len(), fingerprints.len(), "one fingerprint per scenario");
         let keys: Vec<MemoKey> =
-            scenarios.iter().map(|s| MemoKey { pdn: token, scenario: s.fingerprint() }).collect();
-        let cached: Vec<Option<PdnEvaluation>> = keys
-            .iter()
-            .map(|&key| {
-                self.shard_of(key)
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .map
-                    .get(&key)
-                    .cloned()
-            })
-            .collect();
+            fingerprints.iter().map(|&fp| MemoKey { pdn: token, scenario: fp }).collect();
+        let cached: Vec<Option<PdnEvaluation>> =
+            keys.iter().map(|key| self.shard_of(*key).map.get(key).cloned()).collect();
         let n_hits = cached.iter().filter(|c| c.is_some()).count();
         self.hits.fetch_add(n_hits as u64, Ordering::Relaxed);
         self.misses.fetch_add((scenarios.len() - n_hits) as u64, Ordering::Relaxed);
@@ -276,11 +308,9 @@ impl MemoCache {
             return cached.into_iter().map(|c| Ok(c.expect("all points hit"))).collect();
         }
         let results = pdn.evaluate_row(scenarios, row);
-        for (i, result) in results.iter().enumerate() {
-            if cached[i].is_none() {
-                if let Ok(value) = result {
-                    self.insert(keys[i], value);
-                }
+        for ((&key, hit), result) in keys.iter().zip(&cached).zip(&results) {
+            if let (None, Ok(value)) = (hit, result) {
+                self.insert(key, value.clone());
             }
         }
         results
@@ -288,10 +318,7 @@ impl MemoCache {
 
     /// Current number of cached evaluations across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -306,7 +333,7 @@ impl MemoCache {
     pub fn export(&self) -> Vec<MemoEntry> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let shard = lock(shard);
             for key in &shard.order {
                 if let Some(value) = shard.map.get(key) {
                     out.push(MemoEntry {
@@ -330,25 +357,13 @@ impl MemoCache {
     /// number of entries actually added (duplicates are kept-first, like
     /// racing live insertions).
     pub fn import<I: IntoIterator<Item = MemoEntry>>(&self, entries: I) -> usize {
-        let mut added = 0;
-        for entry in entries {
-            let key = MemoKey { pdn: entry.pdn_token, scenario: entry.scenario_fingerprint };
-            let mut shard =
-                self.shard_of(key).lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if shard.map.contains_key(&key) {
-                continue;
-            }
-            if shard.order.len() >= self.capacity_per_shard {
-                if let Some(oldest) = shard.order.pop_front() {
-                    shard.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            shard.order.push_back(key);
-            shard.map.insert(key, entry.value);
-            added += 1;
-        }
-        added
+        entries
+            .into_iter()
+            .map(|e| {
+                self.insert(MemoKey { pdn: e.pdn_token, scenario: e.scenario_fingerprint }, e.value)
+            })
+            .filter(|&added| added)
+            .count()
     }
 
     /// Snapshot of the hit/miss/eviction/bypass counters.

@@ -91,7 +91,8 @@ impl Scenario {
         f_cores: Hertz,
         f_gfx: Hertz,
     ) -> Result<Self, PdnError> {
-        Self::active_with_virus(soc, workload_type, ar, f_cores, f_gfx, Self::tdp_virus_loads(soc))
+        let virus = staging::for_soc(soc).tdp_virus(soc);
+        Self::active_with_virus(soc, workload_type, ar, f_cores, f_gfx, virus)
     }
 
     /// [`Scenario::active`] with the TDP virus load sets supplied by the
@@ -205,56 +206,6 @@ impl Scenario {
         }
     }
 
-    /// Per-domain power-virus loads: for each domain, the AR = 1 power at
-    /// the highest frequency the TDP sustains for the workload type that
-    /// stresses that domain hardest (multi-thread for cores/LLC, graphics
-    /// for GFX). Served from the process-wide [`staging`] cache: the tables
-    /// are a pure function of the SoC, so the cached copy is bit-identical
-    /// to a fresh computation.
-    pub(crate) fn tdp_virus_loads(soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
-        staging::for_soc(soc).tdp_virus(soc)
-    }
-
-    /// Uncached [`Scenario::tdp_virus_loads`]: the two 48-step virus
-    /// bisections plus load assembly. Called once per SoC by the staging
-    /// cache (and by tests pinning cache transparency).
-    fn tdp_virus_loads_uncached(soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
-        [WorkloadType::MultiThread, WorkloadType::Graphics].map(|wl| {
-            let t = Self::solve_t_for_nominal(soc, wl, soc.tdp);
-            let (f_cores, f_gfx) = Self::frequency_point(soc, wl, t);
-            Self::domain_loads_at(soc, wl, ApplicationRatio::POWER_VIRUS, f_cores, f_gfx)
-        })
-    }
-
-    /// Infallible bisection of the frequency scalar for a nominal-power
-    /// target (used for virus sizing, where domain loads always exist).
-    fn solve_t_for_nominal(soc: &SocSpec, workload_type: WorkloadType, budget: Watts) -> f64 {
-        let nominal_at = |t: f64| -> Watts {
-            let (f_cores, f_gfx) = Self::frequency_point(soc, workload_type, t);
-            Self::domain_loads_at(soc, workload_type, ApplicationRatio::POWER_VIRUS, f_cores, f_gfx)
-                .values()
-                .filter(|l| l.powered)
-                .map(|l| l.nominal_power)
-                .sum()
-        };
-        if nominal_at(1.0) <= budget {
-            return 1.0;
-        }
-        if nominal_at(0.0) >= budget {
-            return 0.0;
-        }
-        let (mut lo, mut hi) = (0.0, 1.0);
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            if nominal_at(mid) > budget {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        lo
-    }
-
     /// The worst-case (power-virus) power a rail serving `domains` must be
     /// guardbanded for: the largest *simultaneous* virus total across the
     /// virus workload types (a rail need not survive the multi-thread and
@@ -351,40 +302,12 @@ impl Scenario {
         workload_type: WorkloadType,
         ar: ApplicationRatio,
     ) -> Result<Self, PdnError> {
-        let t = Self::solve_t_fixed_tdp(soc, workload_type)?;
+        // One staging lookup serves both the frequency solve and the
+        // virus tables.
+        let slot = staging::for_soc(soc);
+        let t = slot.solved_t(soc, workload_type)?;
         let (f_cores, f_gfx) = Self::frequency_point(soc, workload_type, t);
-        Scenario::active(soc, workload_type, ar, f_cores, f_gfx)
-    }
-
-    /// The frequency scalar of the [`Scenario::active_fixed_tdp_frequency`]
-    /// design point. Independent of AR — and a pure function of the
-    /// (SoC, workload type) pair — so it is served from the process-wide
-    /// [`staging`] cache; a hit returns the exact bits a fresh 48-step
-    /// bisection would produce.
-    pub(crate) fn solve_t_fixed_tdp(
-        soc: &SocSpec,
-        workload_type: WorkloadType,
-    ) -> Result<f64, PdnError> {
-        staging::for_soc(soc).solved_t(soc, workload_type)
-    }
-
-    /// [`Scenario::active_fixed_tdp_frequency`] with the frequency scalar
-    /// and virus tables precomputed by the caller. Feeding back the values
-    /// the unstaged constructor would itself compute yields a bit-identical
-    /// scenario. The batch engine now builds whole rows through
-    /// [`Scenario::active_fixed_tdp_row`]; this per-point form remains as
-    /// the reference the row constructor's bit-identity tests compare
-    /// against.
-    #[cfg(test)]
-    pub(crate) fn active_fixed_tdp_staged(
-        soc: &SocSpec,
-        workload_type: WorkloadType,
-        ar: ApplicationRatio,
-        t: f64,
-        virus: [DomainTable<DomainLoad>; 2],
-    ) -> Result<Self, PdnError> {
-        let (f_cores, f_gfx) = Self::frequency_point(soc, workload_type, t);
-        Self::active_with_virus(soc, workload_type, ar, f_cores, f_gfx, virus)
+        Self::active_with_virus(soc, workload_type, ar, f_cores, f_gfx, slot.tdp_virus(soc))
     }
 
     /// The formatted AR suffix of a scenario name — the exact `{:.0}`
@@ -399,8 +322,8 @@ impl Scenario {
     /// one AR row (fixed SoC and workload type; AR varying) in a single
     /// call, bit-identical to the per-point constructor at each AR.
     ///
-    /// The fixed-TDP frequency solve and the virus tables come from the
-    /// process-wide staging cache and are looked up once for the row; see
+    /// The fixed-TDP frequency solve and the virus tables come from one
+    /// lookup of the process-wide staging cache for the row; see
     /// `active_fixed_tdp_row_staged` for what the row hoists per point.
     ///
     /// # Errors
@@ -414,13 +337,21 @@ impl Scenario {
         workload_type: WorkloadType,
         ars: &[ApplicationRatio],
     ) -> Result<Vec<Self>, PdnError> {
-        let t = Self::solve_t_fixed_tdp(soc, workload_type)?;
+        let slot = staging::for_soc(soc);
+        let t = slot.solved_t(soc, workload_type)?;
         let suffixes: Vec<String> = ars.iter().map(|&ar| Self::ar_suffix(ar)).collect();
-        let virus = Self::tdp_virus_loads(soc);
-        Self::active_fixed_tdp_row_staged(soc, workload_type, ars, &suffixes, t, &virus)
+        Self::active_fixed_tdp_row_staged(
+            soc,
+            workload_type,
+            ars,
+            &suffixes,
+            t,
+            &slot.tdp_virus(soc),
+        )
     }
 
-    /// Row-at-a-time counterpart of `active_fixed_tdp_staged`:
+    /// [`Scenario::active_fixed_tdp_row`] with the frequency scalar and
+    /// virus tables supplied by the caller:
     /// builds every scenario of one AR row (fixed SoC, workload type and
     /// frequency scalar; AR varying) in a single call. The per-domain
     /// frequency choice, V/f interpolation, leakage `powf`/`exp`
@@ -501,11 +432,11 @@ impl Scenario {
         budget: Watts,
     ) -> Result<f64, PdnError> {
         // Each probe needs only the per-domain loads — not the name or the
-        // virus load sets a full `Scenario::active` would also construct
-        // (the virus sizing runs its own bisections). The powered check and
-        // the canonical-order sum match `Scenario::active` +
-        // `total_nominal_power` exactly, so the bracketing decisions — and
-        // therefore the solved `t` — are bit-identical.
+        // virus load sets a full `Scenario::active` would also construct.
+        // The powered check and the canonical-order sum match
+        // `Scenario::active` + `total_nominal_power` exactly, so the
+        // bracketing decisions — and therefore the solved `t` — are
+        // bit-identical.
         let nominal_at = |t: f64| -> Result<Watts, PdnError> {
             let (f_cores, f_gfx) = Self::frequency_point(soc, workload_type, t);
             let loads = Self::domain_loads_at(soc, workload_type, ar, f_cores, f_gfx);
@@ -561,8 +492,8 @@ impl Scenario {
     }
 
     /// [`Scenario::idle`] with the fmin virus tables precomputed by the
-    /// caller (they depend only on the SoC; same bit-identity contract as
-    /// `active_fixed_tdp_staged`).
+    /// caller (they depend only on the SoC, so the staging cache's copy
+    /// yields a bit-identical scenario).
     pub(crate) fn idle_staged(
         soc: &SocSpec,
         state: PackageCState,
@@ -607,7 +538,16 @@ impl Scenario {
     /// loop; every returned scenario is bit-identical to
     /// [`Scenario::idle`]'s.
     pub fn idle_row(soc: &SocSpec, states: &[PackageCState]) -> Vec<Self> {
-        let virus = Self::fmin_virus_loads(soc);
+        Self::idle_row_staged(soc, states, Self::fmin_virus_loads(soc))
+    }
+
+    /// [`Scenario::idle_row`] with the fmin virus tables supplied by the
+    /// caller (the batch cache takes them from the SoC's staging slot).
+    pub(crate) fn idle_row_staged(
+        soc: &SocSpec,
+        states: &[PackageCState],
+        virus: [DomainTable<DomainLoad>; 2],
+    ) -> Vec<Self> {
         let fmin_voltage = DomainTable::from_fn(|kind| {
             let cfg = soc.domain(kind);
             cfg.vf.voltage_at(cfg.fmin)
@@ -644,8 +584,8 @@ impl Scenario {
     /// Per-domain power-virus loads at the minimum operating frequencies —
     /// the rail guardband basis for C0MIN/idle configurations, where DVFS
     /// has already lowered every setpoint. Served from the process-wide
-    /// [`staging`] cache (same transparency contract as
-    /// [`Scenario::tdp_virus_loads`]).
+    /// [`staging`] cache (same transparency contract as the TDP virus
+    /// tables).
     pub(crate) fn fmin_virus_loads(soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
         staging::for_soc(soc).fmin_virus(soc)
     }
@@ -761,14 +701,16 @@ impl Scenario {
 
 /// Process-wide cache of the expensive SoC-pure staging computations: the
 /// fixed-TDP frequency solve (48-step bisection per workload type) and the
-/// two virus load-set families. Every cached value is a pure function of
+/// two virus load-set families. Callers hash the SoC once per use
+/// ([`staging::for_soc`]) and read every value they need from the
+/// returned slot. Every cached value is a pure function of
 /// the SoC specification, keyed by an exact-bits fingerprint of every
 /// field the constructors read, so a hit returns precisely the bits a
 /// fresh computation would produce — the same transparency model the
 /// [`crate::memo`] cache uses for evaluations. Without this cache a batch
 /// sweep pays ≈ 300 µs of re-bisection per `evaluate` call and every
 /// [`Scenario::active`] pays ≈ 28 µs of virus sizing.
-mod staging {
+pub(crate) mod staging {
     use super::{DomainLoad, PdnError, Scenario};
     use pdn_proc::{DomainTable, SocSpec};
     use pdn_units::ApplicationRatio;
@@ -781,15 +723,19 @@ mod staging {
     /// use; only successful solves are stored (errors always recompute, so
     /// they propagate fresh).
     #[derive(Debug, Default)]
-    pub(super) struct SocStaging {
-        /// `solve_t_fixed_tdp` result, indexed by workload-type discriminant.
+    pub(crate) struct SocStaging {
+        /// Fixed-TDP frequency scalar, indexed by workload-type discriminant.
         solved_t: Mutex<[Option<f64>; 4]>,
         tdp_virus: OnceLock<[DomainTable<DomainLoad>; 2]>,
         fmin_virus: OnceLock<[DomainTable<DomainLoad>; 2]>,
     }
 
     impl SocStaging {
-        pub(super) fn solved_t(
+        /// The frequency scalar of the
+        /// [`Scenario::active_fixed_tdp_frequency`] design point: the AR = 1
+        /// power virus fills the TDP. AR-independent, so one bisection
+        /// serves every AR of the (SoC, workload type) pair.
+        pub(crate) fn solved_t(
             &self,
             soc: &SocSpec,
             workload_type: WorkloadType,
@@ -808,11 +754,26 @@ mod staging {
             Ok(t)
         }
 
-        pub(super) fn tdp_virus(&self, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
-            *self.tdp_virus.get_or_init(|| Scenario::tdp_virus_loads_uncached(soc))
+        /// The TDP virus tables. Their MultiThread and Graphics scalars are
+        /// [`SocStaging::solved_t`]'s: the same bisection, budget and
+        /// clamps, so the two solves are shared rather than repeated.
+        pub(crate) fn tdp_virus(&self, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
+            *self.tdp_virus.get_or_init(|| {
+                [WorkloadType::MultiThread, WorkloadType::Graphics].map(|wl| {
+                    let t = self.solved_t(soc, wl).expect("virus workload types power a domain");
+                    let (f_cores, f_gfx) = Scenario::frequency_point(soc, wl, t);
+                    Scenario::domain_loads_at(
+                        soc,
+                        wl,
+                        ApplicationRatio::POWER_VIRUS,
+                        f_cores,
+                        f_gfx,
+                    )
+                })
+            })
         }
 
-        pub(super) fn fmin_virus(&self, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
+        pub(crate) fn fmin_virus(&self, soc: &SocSpec) -> [DomainTable<DomainLoad>; 2] {
             *self.fmin_virus.get_or_init(|| Scenario::fmin_virus_loads_uncached(soc))
         }
     }
@@ -828,7 +789,7 @@ mod staging {
     }
 
     /// The staging slot for `soc`, creating it on first sight.
-    pub(super) fn for_soc(soc: &SocSpec) -> Arc<SocStaging> {
+    pub(crate) fn for_soc(soc: &SocSpec) -> Arc<SocStaging> {
         let key = soc_fingerprint(soc);
         let mut map = registry().lock().expect("staging registry poisoned");
         if map.len() >= CAP && !map.contains_key(&key) {
@@ -1004,8 +965,8 @@ mod tests {
         for tdp in [4.0, 18.0, 50.0] {
             let soc = client_soc(Watts::new(tdp));
             for wl in types {
-                let t = Scenario::solve_t_fixed_tdp(&soc, wl).unwrap();
-                let virus = Scenario::tdp_virus_loads(&soc);
+                let slot = staging::for_soc(&soc);
+                let (t, virus) = (slot.solved_t(&soc, wl).unwrap(), slot.tdp_virus(&soc));
                 let ars: Vec<_> = (1..=9).map(|i| ar(f64::from(i) * 0.1)).collect();
                 let suffixes: Vec<_> = ars.iter().map(|&a| Scenario::ar_suffix(a)).collect();
                 let row =
@@ -1014,12 +975,9 @@ mod tests {
                 assert_eq!(row.len(), ars.len());
                 assert_eq!(row, Scenario::active_fixed_tdp_row(&soc, wl, &ars).unwrap());
                 for (got, &a) in row.iter().zip(&ars) {
-                    let point = Scenario::active_fixed_tdp_staged(&soc, wl, a, t, virus).unwrap();
+                    let point = Scenario::active_fixed_tdp_frequency(&soc, wl, a).unwrap();
                     assert_eq!(*got, point, "{wl} tdp={tdp} ar={a}");
                     assert_eq!(got.fingerprint(), point.fingerprint());
-                    // And against the fully unstaged constructor.
-                    let direct = Scenario::active_fixed_tdp_frequency(&soc, wl, a).unwrap();
-                    assert_eq!(*got, direct);
                 }
             }
         }
@@ -1038,22 +996,54 @@ mod tests {
         }
     }
 
+    /// Exact bits of a pair of virus tables.
+    fn virus_bits(virus: &[DomainTable<DomainLoad>; 2]) -> Vec<u64> {
+        let load = |l: &DomainLoad| {
+            let powered = f64::from(u8::from(l.powered));
+            [l.nominal_power.get(), l.voltage.get(), l.leakage_fraction.get(), powered]
+                .map(f64::to_bits)
+        };
+        virus.iter().flat_map(|set| set.values().flat_map(load)).collect()
+    }
+
+    /// The TDP virus scalars and tables from first principles: the AR = 1
+    /// bisection at the TDP, then the loads at that frequency point.
+    fn tdp_virus_oracle(soc: &SocSpec) -> ([f64; 2], [DomainTable<DomainLoad>; 2]) {
+        let wls = [WorkloadType::MultiThread, WorkloadType::Graphics];
+        let virus = ApplicationRatio::POWER_VIRUS;
+        let ts = wls.map(|wl| Scenario::solve_t_for_budget(soc, wl, virus, soc.tdp).unwrap());
+        let tables = [0, 1].map(|i| {
+            let (f_cores, f_gfx) = Scenario::frequency_point(soc, wls[i], ts[i]);
+            Scenario::domain_loads_at(soc, wls[i], virus, f_cores, f_gfx)
+        });
+        (ts, tables)
+    }
+
     #[test]
     fn staging_cache_is_bit_transparent() {
-        let soc = client_soc(Watts::new(7.5));
-        let direct = Scenario::solve_t_for_budget(
-            &soc,
-            WorkloadType::MultiThread,
-            ApplicationRatio::POWER_VIRUS,
-            soc.tdp,
-        )
-        .unwrap();
-        let cached = Scenario::solve_t_fixed_tdp(&soc, WorkloadType::MultiThread).unwrap();
-        let warm = Scenario::solve_t_fixed_tdp(&soc, WorkloadType::MultiThread).unwrap();
-        assert_eq!(direct.to_bits(), cached.to_bits());
-        assert_eq!(cached.to_bits(), warm.to_bits());
-        assert_eq!(Scenario::tdp_virus_loads(&soc), Scenario::tdp_virus_loads_uncached(&soc));
-        assert_eq!(Scenario::fmin_virus_loads(&soc), Scenario::fmin_virus_loads_uncached(&soc));
+        use pdn_proc::ClientSocBuilder;
+        // 2 W clamps both virus solves to t = 0, 3 W only the MultiThread
+        // one, and 50 W both to t = 1; the leakage-binned part moves the
+        // bisected scalar itself.
+        let mut socs: Vec<SocSpec> =
+            [2.0, 3.0, 4.0, 18.0, 50.0].map(|tdp| client_soc(Watts::new(tdp))).into();
+        socs.push(ClientSocBuilder::new(Watts::new(15.0)).leakage_scale(1.07).build());
+        let mut clamps = (false, false);
+        for soc in &socs {
+            let (ts, oracle) = tdp_virus_oracle(soc);
+            clamps = (clamps.0 || ts.contains(&0.0), clamps.1 || ts.contains(&1.0));
+            // Cold or warm, the slot serves the oracle's exact bits.
+            let slot = staging::for_soc(soc);
+            assert_eq!(virus_bits(&slot.tdp_virus(soc)), virus_bits(&oracle), "{}", soc.tdp);
+            for (wl, t) in [WorkloadType::MultiThread, WorkloadType::Graphics].into_iter().zip(ts) {
+                assert_eq!(slot.solved_t(soc, wl).unwrap().to_bits(), t.to_bits(), "{wl}");
+            }
+            assert_eq!(
+                virus_bits(&Scenario::fmin_virus_loads(soc)),
+                virus_bits(&Scenario::fmin_virus_loads_uncached(soc))
+            );
+        }
+        assert_eq!(clamps, (true, true), "both range-end clamps must be exercised");
     }
 
     #[test]
@@ -1063,7 +1053,10 @@ mod tests {
         // keep their cached virus tables apart.
         let base = client_soc(Watts::new(15.0));
         let binned = ClientSocBuilder::new(Watts::new(15.0)).leakage_scale(1.07).build();
-        assert_ne!(Scenario::tdp_virus_loads(&base), Scenario::tdp_virus_loads(&binned));
-        assert_eq!(Scenario::tdp_virus_loads(&binned), Scenario::tdp_virus_loads_uncached(&binned));
+        let cached = |soc: &SocSpec| virus_bits(&staging::for_soc(soc).tdp_virus(soc));
+        assert_ne!(cached(&base), cached(&binned));
+        for soc in [&base, &binned] {
+            assert_eq!(cached(soc), virus_bits(&tdp_virus_oracle(soc).1));
+        }
     }
 }

@@ -342,7 +342,11 @@ pub fn crossover(
         let soc = provider.soc_for(Watts::new(tdp));
         let s = Scenario::active_fixed_tdp_frequency(&soc, workload_type, ar)?;
         let (ea, eb) = match memo {
-            Some(m) => (m.evaluate(a, &s)?, m.evaluate(b, &s)?),
+            // One fingerprint keys the probe for both PDNs.
+            Some(m) => {
+                let fp = s.fingerprint();
+                (m.evaluate_fingerprinted(a, &s, fp)?, m.evaluate_fingerprinted(b, &s, fp)?)
+            }
             None => (a.evaluate(&s)?, b.evaluate(&s)?),
         };
         Ok(ea.etee.get() - eb.etee.get())

@@ -43,6 +43,8 @@ use pdn_vr::{presets, BuckConverter};
 #[derive(Debug)]
 pub struct IPlusMbvrPdn {
     params: ModelParams,
+    /// [`Pdn::memo_token`], fixed at construction (`params` never changes).
+    token: u64,
     vin_vr: BuckConverter,
     sa_vr: BuckConverter,
     io_vr: BuckConverter,
@@ -57,6 +59,7 @@ impl IPlusMbvrPdn {
             k.is_wide_range().then(|| presets::ivr(&format!("IVR_{}", k.rail_name())))
         });
         Self {
+            token: pdn_memo_token(PdnKind::IPlusMbvr, 0, &params),
             params,
             vin_vr: presets::vin_board_vr(),
             sa_vr: presets::sa_board_vr(),
@@ -176,7 +179,7 @@ impl Pdn for IPlusMbvrPdn {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        Some(pdn_memo_token(PdnKind::IPlusMbvr, 0, &self.params))
+        Some(self.token)
     }
 }
 

@@ -37,6 +37,8 @@ use pdn_vr::{presets, BuckConverter};
 #[derive(Debug)]
 pub struct IvrPdn {
     params: ModelParams,
+    /// [`Pdn::memo_token`], fixed at construction (`params` never changes).
+    token: u64,
     vin_vr: BuckConverter,
     ivrs: DomainTable<BuckConverter>,
 }
@@ -45,7 +47,8 @@ impl IvrPdn {
     /// Builds the IVR PDN with its six per-domain IVRs and `V_IN` board VR.
     pub fn new(params: ModelParams) -> Self {
         let ivrs = DomainTable::from_fn(|k| presets::ivr(&format!("IVR_{}", k.rail_name())));
-        Self { params, vin_vr: presets::vin_board_vr(), ivrs }
+        let token = pdn_memo_token(PdnKind::Ivr, 0, &params);
+        Self { params, token, vin_vr: presets::vin_board_vr(), ivrs }
     }
 
     /// [`Pdn::evaluate`] with the PDN-independent stages routed through a
@@ -123,7 +126,7 @@ impl Pdn for IvrPdn {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        Some(pdn_memo_token(PdnKind::Ivr, 0, &self.params))
+        Some(self.token)
     }
 }
 

@@ -42,6 +42,8 @@ use pdn_vr::{presets, BuckConverter, LdoRegulator, OperatingPoint, VoltageRegula
 #[derive(Debug)]
 pub struct LdoPdn {
     params: ModelParams,
+    /// [`Pdn::memo_token`], fixed at construction (`params` never changes).
+    token: u64,
     vin_vr: BuckConverter,
     sa_vr: BuckConverter,
     io_vr: BuckConverter,
@@ -56,6 +58,7 @@ impl LdoPdn {
             k.is_wide_range().then(|| presets::ldo(&format!("LDO_{}", k.rail_name())))
         });
         Self {
+            token: pdn_memo_token(PdnKind::Ldo, 0, &params),
             params,
             vin_vr: presets::compute_board_vr("V_IN"),
             sa_vr: presets::sa_board_vr(),
@@ -202,7 +205,7 @@ impl Pdn for LdoPdn {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        Some(pdn_memo_token(PdnKind::Ldo, 0, &self.params))
+        Some(self.token)
     }
 }
 

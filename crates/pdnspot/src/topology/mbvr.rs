@@ -47,6 +47,8 @@ struct RailGroup {
 #[derive(Debug)]
 pub struct MbvrPdn {
     params: ModelParams,
+    /// [`Pdn::memo_token`], fixed at construction (`params` never changes).
+    token: u64,
     groups: Vec<RailGroup>,
 }
 
@@ -67,7 +69,7 @@ impl MbvrPdn {
             RailGroup { vr: presets::sa_board_vr(), domains: vec![DomainKind::Sa], compute: false },
             RailGroup { vr: presets::io_board_vr(), domains: vec![DomainKind::Io], compute: false },
         ];
-        Self { params, groups }
+        Self { token: pdn_memo_token(PdnKind::Mbvr, 0, &params), params, groups }
     }
 
     fn group_loadline(&self, group: &RailGroup) -> Ohms {
@@ -198,7 +200,7 @@ impl Pdn for MbvrPdn {
     }
 
     fn memo_token(&self) -> Option<u64> {
-        Some(pdn_memo_token(PdnKind::Mbvr, 0, &self.params))
+        Some(self.token)
     }
 }
 
