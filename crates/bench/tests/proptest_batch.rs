@@ -2,7 +2,7 @@
 //! work-stealing scheduler must produce bit-identical results for every
 //! worker count, on the grids the figure binaries actually sweep.
 
-use flexwatts::{FlexWattsPdn, PdnMode};
+use flexwatts::{FlexWattsAuto, FlexWattsPdn, PdnMode};
 use pdn_bench::fig4::PANEL_TDPS;
 use pdn_bench::suite::{five_pdns, ARS, TDPS};
 use pdn_proc::PackageCState;
@@ -164,8 +164,9 @@ proptest! {
         let ldo = pdnspot::LdoPdn::new(params.clone());
         let iplus = pdnspot::IPlusMbvrPdn::new(params.clone());
         let fw_ivr = FlexWattsPdn::new(params.clone(), PdnMode::IvrMode);
-        let fw_ldo = FlexWattsPdn::new(params, PdnMode::LdoMode);
-        let pdns: [&dyn Pdn; 6] = [&ivr, &mbvr, &ldo, &iplus, &fw_ivr, &fw_ldo];
+        let fw_ldo = FlexWattsPdn::new(params.clone(), PdnMode::LdoMode);
+        let fw_auto = FlexWattsAuto::new(params);
+        let pdns: [&dyn Pdn; 7] = [&ivr, &mbvr, &ldo, &iplus, &fw_ivr, &fw_ldo, &fw_auto];
         let run = evaluate(&pdns, &grid, &ClientSoc, &cfg(Workers::Fixed(w)), None);
         prop_assert_eq!(run.stats.failed, 0);
         for eval in &run.evaluations {

@@ -17,7 +17,7 @@ use pdn_proc::{DomainKind, DomainTable, PackageCState, SocSpec};
 use pdn_units::{Amps, ApplicationRatio, Seconds, Volts, Watts};
 use pdn_workload::{Phase, Trace, TraceInterval, WorkloadType};
 use pdnspot::batch::{par_map, Workers};
-use pdnspot::{ModelParams, Pdn, PdnError, RowStage, Scenario};
+use pdnspot::{ModelParams, Pdn, PdnError, PdnEvaluation, RowStage, Scenario};
 use std::collections::BTreeMap;
 
 /// Configuration of a runtime simulation.
@@ -116,15 +116,31 @@ pub(crate) struct PreparedInterval {
     pub(crate) estimated_type: WorkloadType,
 }
 
+impl PreparedInterval {
+    /// The record of a scenario evaluated in both modes.
+    fn new(
+        scenario: &Scenario,
+        ivr: &PdnEvaluation,
+        ldo: &PdnEvaluation,
+        estimated_type: WorkloadType,
+    ) -> Self {
+        Self {
+            power_ivr: ivr.input_power,
+            power_ldo: ldo.input_power,
+            vin_ldo: ldo.rails.iter().find(|r| r.name == "V_IN").map_or(Amps::ZERO, |r| r.current),
+            ldo_vin_level: scenario
+                .max_voltage_among(&DomainKind::WIDE_RANGE)
+                .unwrap_or(Volts::new(0.85)),
+            estimated_type,
+        }
+    }
+}
+
 /// Most intervals in one prepare tile: the unit
 /// [`FlexWattsRuntime::prepare_batch`] hands the worker pool, and the
-/// span within which the intervals of one phase class share a row build
-/// and a [`RowStage`].
+/// span within which the active intervals of one workload type share a
+/// row build and a [`RowStage`].
 const PREPARE_TILE: usize = 256;
-
-/// Row index of the idle phases in a prepare tile; active phases take
-/// the row of their workload type's discriminant.
-const IDLE_ROW: usize = 4;
 
 /// The FlexWatts runtime simulator.
 #[derive(Debug)]
@@ -140,6 +156,10 @@ pub struct FlexWattsRuntime {
     /// Each mode's input power with the package in C6 — what a mode
     /// switch burns while its flow runs — indexed by [`PdnMode`].
     c6_power: [Result<Watts, PdnError>; 2],
+    /// The prepared record of an idle interval in each package C-state,
+    /// indexed by [`PackageCState`]: an idle scenario depends only on the
+    /// SoC and the state, so every idle interval copies its entry.
+    idle: [Result<PreparedInterval, PdnError>; PackageCState::ALL.len()],
 }
 
 impl FlexWattsRuntime {
@@ -154,11 +174,22 @@ impl FlexWattsRuntime {
         let ldo_mode = FlexWattsPdn::new(params, PdnMode::LdoMode);
         let protection = MaxCurrentProtection::from_rail_sizing(&ivr_mode, &soc)
             .expect("rail sizing of the client SoC is always feasible");
-        let c6 = Scenario::idle(&soc, PackageCState::C6);
-        let c6_power = [&ivr_mode, &ldo_mode].map(|pdn| Ok(pdn.evaluate(&c6)?.input_power));
+        let idle_evals = PackageCState::ALL.map(|state| {
+            let scenario = Scenario::idle(&soc, state);
+            let evals = [&ivr_mode, &ldo_mode].map(|pdn| pdn.evaluate(&scenario));
+            (scenario, evals)
+        });
+        let c6_power = idle_evals[PackageCState::C6 as usize]
+            .1
+            .each_ref()
+            .map(|eval| eval.as_ref().map(|e| e.input_power).map_err(Clone::clone));
+        let idle = idle_evals.map(|(scenario, [ivr, ldo])| {
+            Ok(PreparedInterval::new(&scenario, &ivr?, &ldo?, WorkloadType::BatteryLife))
+        });
         Self {
             ldo_mode,
             c6_power,
+            idle,
             sensors: ActivitySensorBank::new(config.sensor_seed),
             switch_flow: ModeSwitchFlow::new(),
             ivr_mode,
@@ -190,16 +221,16 @@ impl FlexWattsRuntime {
     ///
     /// The batch splits into equal tiles of at most [`PREPARE_TILE`]
     /// intervals, at least one per worker, fanned out over the worker
-    /// pool. Inside a tile the intervals group by phase class — one row
-    /// per active workload type, one for the idle states — and each row
-    /// builds its scenarios with one row-constructor call
-    /// ([`Scenario::active_fixed_tdp_row`] or [`Scenario::idle_row`]) and
-    /// evaluates both FlexWatts modes through [`Pdn::evaluate_row`] with
-    /// one shared [`RowStage`]. Within a row every scenario shares the
-    /// SoC, workload type, virus tables and virus margin — the
-    /// row-invariant fields a `RowStage` leaves out of its keys — so every
-    /// value is bit-identical to building and evaluating each interval on
-    /// its own, for any tiling.
+    /// pool. Inside a tile the active intervals group into one row per
+    /// workload type; each row builds its scenarios with one
+    /// [`Scenario::active_fixed_tdp_row`] call and evaluates both
+    /// FlexWatts modes through [`Pdn::evaluate_row`] with one shared
+    /// [`RowStage`]. Within a row every scenario shares the SoC, workload
+    /// type, virus tables and virus margin — the row-invariant fields a
+    /// `RowStage` leaves out of its keys — so every value is bit-identical
+    /// to building and evaluating each interval on its own, for any
+    /// tiling. An idle interval copies its C-state's entry, prepared once
+    /// per runtime by [`FlexWattsRuntime::new`].
     ///
     /// # Errors
     ///
@@ -222,14 +253,6 @@ impl FlexWattsRuntime {
 
     /// One tile of [`prepare_batch`](Self::prepare_batch).
     fn prepare_tile(&self, tile: &[TraceInterval]) -> Result<Vec<PreparedInterval>, PdnError> {
-        let mut rows: [Vec<usize>; IDLE_ROW + 1] = Default::default();
-        for (i, interval) in tile.iter().enumerate() {
-            let row = match interval.phase {
-                Phase::Active { workload_type, .. } => workload_type as usize,
-                Phase::Idle(_) => IDLE_ROW,
-            };
-            rows[row].push(i);
-        }
         let mut prepared: Vec<Option<PreparedInterval>> = vec![None; tile.len()];
         // The tile's earliest failing interval and its error.
         let mut first_error: Option<(usize, PdnError)> = None;
@@ -238,25 +261,22 @@ impl FlexWattsRuntime {
                 first_error = Some((at, e));
             }
         };
-        for members in rows.iter().filter(|members| !members.is_empty()) {
-            let built = match tile[members[0]].phase {
-                Phase::Active { workload_type, .. } => {
-                    let ars: Vec<ApplicationRatio> =
-                        members.iter().map(|&i| tile[i].phase.ar()).collect();
-                    Scenario::active_fixed_tdp_row(&self.soc, workload_type, &ars)
-                }
-                Phase::Idle(_) => {
-                    let states: Vec<PackageCState> = members
-                        .iter()
-                        .filter_map(|&i| match tile[i].phase {
-                            Phase::Idle(state) => Some(state),
-                            Phase::Active { .. } => None,
-                        })
-                        .collect();
-                    Ok(Scenario::idle_row(&self.soc, &states))
-                }
-            };
-            let scenarios = match built {
+        let mut rows: [Vec<usize>; WorkloadType::ALL.len()] = Default::default();
+        for (i, interval) in tile.iter().enumerate() {
+            match interval.phase {
+                Phase::Active { workload_type, .. } => rows[workload_type as usize].push(i),
+                Phase::Idle(state) => match &self.idle[state as usize] {
+                    Ok(idle) => prepared[i] = Some(*idle),
+                    Err(e) => fail(i, e.clone()),
+                },
+            }
+        }
+        for (members, &workload_type) in rows.iter().zip(&WorkloadType::ALL) {
+            if members.is_empty() {
+                continue;
+            }
+            let ars: Vec<ApplicationRatio> = members.iter().map(|&i| tile[i].phase.ar()).collect();
+            let scenarios = match Scenario::active_fixed_tdp_row(&self.soc, workload_type, &ars) {
                 Ok(scenarios) => scenarios,
                 Err(e) => {
                     fail(members[0], e);
@@ -267,39 +287,22 @@ impl FlexWattsRuntime {
             let ivr = self.ivr_mode.evaluate_row(&scenarios, &stage);
             let ldo = self.ldo_mode.evaluate_row(&scenarios, &stage);
             for (((&i, scenario), ivr), ldo) in members.iter().zip(&scenarios).zip(ivr).zip(ldo) {
-                let (ivr, ldo) = match (ivr, ldo) {
-                    (Ok(ivr), Ok(ldo)) => (ivr, ldo),
-                    (Err(e), _) | (Ok(_), Err(e)) => {
-                        fail(i, e);
-                        continue;
+                match (ivr, ldo) {
+                    (Ok(ivr), Ok(ldo)) => {
+                        let powered = DomainTable::from_fn(|k| scenario.load(k).powered);
+                        let estimated_type = classify_workload(&powered, None);
+                        prepared[i] =
+                            Some(PreparedInterval::new(scenario, &ivr, &ldo, estimated_type));
                     }
-                };
-                let estimated_type = match tile[i].phase {
-                    Phase::Active { .. } => {
-                        classify_workload(&DomainTable::from_fn(|k| scenario.load(k).powered), None)
-                    }
-                    Phase::Idle(_) => WorkloadType::BatteryLife,
-                };
-                prepared[i] = Some(PreparedInterval {
-                    power_ivr: ivr.input_power,
-                    power_ldo: ldo.input_power,
-                    vin_ldo: ldo
-                        .rails
-                        .iter()
-                        .find(|r| r.name == "V_IN")
-                        .map_or(Amps::ZERO, |r| r.current),
-                    ldo_vin_level: scenario
-                        .max_voltage_among(&DomainKind::WIDE_RANGE)
-                        .unwrap_or(Volts::new(0.85)),
-                    estimated_type,
-                });
+                    (Err(e), _) | (Ok(_), Err(e)) => fail(i, e),
+                }
             }
         }
         match first_error {
             Some((_, e)) => Err(e),
             None => Ok(prepared
                 .into_iter()
-                .map(|p| p.expect("every interval belongs to one row"))
+                .map(|p| p.expect("every interval is prepared or failed"))
                 .collect()),
         }
     }
@@ -874,6 +877,26 @@ mod tests {
                     want.as_ref().err()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn idle_table_matches_the_per_interval_oracle() {
+        for rt in runtimes() {
+            for state in PackageCState::ALL {
+                let stored = rt.idle[state as usize].clone().map(|p| vec![p]);
+                let want = oracle_prepare(rt, Phase::Idle(state)).map(|p| vec![p]);
+                assert!(same_bits(&stored, &want), "{state} at {} W", rt.soc.tdp.get());
+            }
+            let c6 = oracle_prepare(rt, Phase::Idle(PackageCState::C6)).unwrap();
+            assert_eq!(
+                rt.c6_power(PdnMode::IvrMode).unwrap().get().to_bits(),
+                c6.power_ivr.get().to_bits()
+            );
+            assert_eq!(
+                rt.c6_power(PdnMode::LdoMode).unwrap().get().to_bits(),
+                c6.power_ldo.get().to_bits()
+            );
         }
     }
 

@@ -15,9 +15,12 @@ use pdn_proc::{DomainKind, DomainTable};
 use pdn_units::{Amps, Volts, Watts};
 use pdn_vr::{presets, BuckConverter, OperatingPoint, VoltageRegulator};
 use pdnspot::etee::{
-    board_vr_stage, load_line_domain_stage, load_line_stage, LossBreakdown, RowStage, Stager,
+    board_vr_stage, load_line_domain_stages, load_line_stage, LossBreakdown, RailLoadLine,
+    RowStage, Stager,
 };
-use pdnspot::topology::{dedicated_rail_flow, pdn_memo_token, power_gate_impedance, OffchipRail};
+use pdnspot::topology::{
+    dedicated_rail_finish, dedicated_rail_lane, pdn_memo_token, power_gate_impedance, OffchipRail,
+};
 use pdnspot::{DirectStager, ModelParams, Pdn, PdnError, PdnEvaluation, PdnKind, Scenario};
 use std::fmt;
 
@@ -123,46 +126,80 @@ impl FlexWattsPdn {
         scenario: &Scenario,
         stager: &impl Stager,
     ) -> Result<PdnEvaluation, PdnError> {
-        match self.mode {
-            PdnMode::IvrMode => self.evaluate_ivr_mode(scenario, stager),
-            PdnMode::LdoMode => self.evaluate_ldo_mode(scenario, stager),
-        }
-    }
-
-    fn evaluate_ivr_mode(
-        &self,
-        scenario: &Scenario,
-        stager: &impl Stager,
-    ) -> Result<PdnEvaluation, PdnError> {
         let p = &self.params;
+        let ll = &p.flexwatts_loadlines;
         let tob = self.tob();
         let mut breakdown = LossBreakdown::default();
         let mut rails = Vec::new();
         let mut p_batt = Watts::ZERO;
         let mut chip_current = Amps::ZERO;
 
-        // Compute domains: hybrid VRs in buck personality fed at 1.8 V.
-        let mut p_in = Watts::ZERO;
-        for &kind in &DomainKind::WIDE_RANGE {
-            let load = scenario.load(kind);
-            if !load.powered || load.nominal_power.get() <= 0.0 {
-                continue;
+        // IVR-Mode feeds the hybrids' buck personality at 1.8 V; LDO-Mode
+        // raises V_IN to the highest guardbanded compute voltage (none
+        // when every compute domain is off).
+        let vin = match self.mode {
+            PdnMode::IvrMode => Some(p.vin_level),
+            PdnMode::LdoMode => {
+                scenario.max_voltage_among(&DomainKind::WIDE_RANGE).map(|v| v + tob)
             }
-            let gb = stager.guardband(kind, load, tob, p.leakage_exponent);
-            breakdown.other += gb.power - load.nominal_power;
-            let iout = gb.power / gb.voltage;
-            let op = OperatingPoint::new(p.vin_level, gb.voltage, iout);
-            let hvr = self.hybrids.get(kind).as_ref().expect("wide-range domains carry a HVR");
-            let eta = hvr.efficiency(op)?;
-            let pin_d = gb.power / eta;
-            breakdown.vr_loss += pin_d - gb.power;
-            p_in += pin_d;
+        };
+        let mut p_in = Watts::ZERO;
+        let mut fl_weighted = 0.0;
+        if let Some(vin) = vin {
+            for &kind in &DomainKind::WIDE_RANGE {
+                let load = scenario.load(kind);
+                if !load.powered || load.nominal_power.get() <= 0.0 {
+                    continue;
+                }
+                let gb = stager.guardband(kind, load, tob, p.leakage_exponent);
+                breakdown.other += gb.power - load.nominal_power;
+                let iout = gb.power / gb.voltage;
+                let op = OperatingPoint::new(vin, gb.voltage, iout);
+                let hvr = self.hybrids.get(kind).as_ref().expect("wide-range domains carry a HVR");
+                let eta = hvr.efficiency(op)?;
+                let pin_d = gb.power / eta;
+                breakdown.vr_loss += pin_d - gb.power;
+                fl_weighted += load.leakage_fraction.get() * pin_d.get();
+                p_in += pin_d;
+            }
         }
-        if p_in.get() > 0.0 {
-            // The shared-resource load line (1.4 mΩ > the IVR PDN's 1.0).
-            let step = load_line_stage(p_in, p.vin_level, scenario.ar, p.flexwatts_loadlines.vin);
+        let vin = vin.filter(|_| p_in.get() > 0.0);
+
+        // LDO-Mode's V_IN reaches the bypassed domains directly, so it
+        // takes the domain-load load line and advances in lockstep with
+        // the dedicated SA/IO rails; each lane performs the scalar
+        // operations in the scalar order, so the bits are the
+        // rail-at-a-time walk's.
+        let vin_lane = vin.filter(|_| self.mode == PdnMode::LdoMode).map(|vin| {
+            let fl = pdn_units::Ratio::new(fl_weighted / p_in.get())
+                .expect("weighted mean of valid fractions");
+            RailLoadLine {
+                power: p_in,
+                voltage: vin,
+                p_peak: stager.rail_virus_power(scenario, &DomainKind::WIDE_RANGE, p_in),
+                r_ll: ll.vin,
+                leakage_fraction: fl,
+            }
+        });
+        let r_pg = power_gate_impedance();
+        let (sa_lane, sa_overhead) =
+            dedicated_rail_lane(scenario, DomainKind::Sa, tob, r_pg, ll.sa, p, stager);
+        let (io_lane, io_overhead) =
+            dedicated_rail_lane(scenario, DomainKind::Io, tob, r_pg, ll.io, p, stager);
+        let lanes = [sa_lane, io_lane, vin_lane.unwrap_or(io_lane)];
+        let n_lanes = 2 + usize::from(vin_lane.is_some());
+        let steps = load_line_domain_stages(&lanes[..n_lanes], p.leakage_exponent);
+
+        // The board VRs in V_IN → SA → IO order. IVR-Mode's V_IN feeds
+        // buck converters: the constant-current load line of the shared
+        // routing (1.4 mΩ > the IVR PDN's 1.0).
+        if let Some(vin) = vin {
+            let step = match self.mode {
+                PdnMode::IvrMode => load_line_stage(p_in, vin, scenario.ar, ll.vin),
+                PdnMode::LdoMode => steps[2],
+            };
             breakdown.conduction_compute += step.extra;
-            chip_current += p_in / p.vin_level;
+            chip_current += p_in / vin;
             let (pin, rail) = board_vr_stage(
                 &self.vin_vr,
                 p.supply_voltage,
@@ -174,134 +211,27 @@ impl FlexWattsPdn {
             p_batt += pin;
             rails.push(rail);
         }
-
-        self.add_sa_io(
-            scenario,
-            stager,
-            &mut breakdown,
-            &mut rails,
-            &mut p_batt,
-            &mut chip_current,
-        )?;
-        PdnEvaluation::assemble(
-            scenario.total_nominal_power(),
-            p_batt,
-            breakdown,
-            chip_current,
-            rails,
-        )
-    }
-
-    fn evaluate_ldo_mode(
-        &self,
-        scenario: &Scenario,
-        stager: &impl Stager,
-    ) -> Result<PdnEvaluation, PdnError> {
-        let p = &self.params;
-        let tob = self.tob();
-        let mut breakdown = LossBreakdown::default();
-        let mut rails = Vec::new();
-        let mut p_batt = Watts::ZERO;
-        let mut chip_current = Amps::ZERO;
-
-        let vin_rail = scenario.max_voltage_among(&DomainKind::WIDE_RANGE).map(|v| v + tob);
-        let mut p_in = Watts::ZERO;
-        let mut fl_weighted = 0.0;
-        if let Some(vin_rail) = vin_rail {
-            for &kind in &DomainKind::WIDE_RANGE {
-                let load = scenario.load(kind);
-                if !load.powered || load.nominal_power.get() <= 0.0 {
-                    continue;
-                }
-                let gb = stager.guardband(kind, load, tob, p.leakage_exponent);
-                breakdown.other += gb.power - load.nominal_power;
-                let iout = gb.power / gb.voltage;
-                let op = OperatingPoint::new(vin_rail, gb.voltage, iout);
-                let hvr = self.hybrids.get(kind).as_ref().expect("wide-range domains carry a HVR");
-                let eta = hvr.efficiency(op)?;
-                let pin_d = gb.power / eta;
-                breakdown.vr_loss += pin_d - gb.power;
-                fl_weighted += load.leakage_fraction.get() * pin_d.get();
-                p_in += pin_d;
-            }
-            if p_in.get() > 0.0 {
-                let fl = pdn_units::Ratio::new(fl_weighted / p_in.get())
-                    .expect("weighted mean of valid fractions");
-                let step = load_line_domain_stage(
-                    p_in,
-                    vin_rail,
-                    stager.rail_virus_power(scenario, &DomainKind::WIDE_RANGE, p_in),
-                    p.flexwatts_loadlines.vin,
-                    fl,
-                    p.leakage_exponent,
-                );
-                breakdown.conduction_compute += step.extra;
-                chip_current += p_in / vin_rail;
-                let (pin, rail) = board_vr_stage(
-                    &self.vin_vr,
-                    p.supply_voltage,
-                    step.v_ll,
-                    step.p_ll,
-                    p.board_lightload_cap,
-                )?;
-                breakdown.vr_loss += pin - step.p_ll;
-                p_batt += pin;
-                rails.push(rail);
-            }
-        }
-
-        self.add_sa_io(
-            scenario,
-            stager,
-            &mut breakdown,
-            &mut rails,
-            &mut p_batt,
-            &mut chip_current,
-        )?;
-        PdnEvaluation::assemble(
-            scenario.total_nominal_power(),
-            p_batt,
-            breakdown,
-            chip_current,
-            rails,
-        )
-    }
-
-    /// The dedicated SA/IO board rails FlexWatts keeps in both modes.
-    fn add_sa_io(
-        &self,
-        scenario: &Scenario,
-        stager: &impl Stager,
-        breakdown: &mut LossBreakdown,
-        rails: &mut Vec<pdnspot::RailReport>,
-        p_batt: &mut Watts,
-        chip_current: &mut Amps,
-    ) -> Result<(), PdnError> {
-        let p = &self.params;
-        for (kind, r_ll, vr) in [
-            (DomainKind::Sa, p.flexwatts_loadlines.sa, &self.sa_vr),
-            (DomainKind::Io, p.flexwatts_loadlines.io, &self.io_vr),
-        ] {
-            let (pin, overhead, conduction, vr_loss, rail) = dedicated_rail_flow(
-                scenario,
-                kind,
-                self.tob(),
-                power_gate_impedance(),
-                r_ll,
-                vr,
-                p,
-                stager,
-            )?;
+        for (step, overhead, vr) in
+            [(steps[0], sa_overhead, &self.sa_vr), (steps[1], io_overhead, &self.io_vr)]
+        {
+            let (pin, overhead, conduction, vr_loss, rail) =
+                dedicated_rail_finish(step, vr, p, overhead)?;
             if pin.get() > 0.0 {
                 breakdown.other += overhead;
                 breakdown.conduction_sa_io += conduction;
                 breakdown.vr_loss += vr_loss;
-                *chip_current += rail.current;
-                *p_batt += pin;
+                chip_current += rail.current;
+                p_batt += pin;
                 rails.push(rail);
             }
         }
-        Ok(())
+        PdnEvaluation::assemble(
+            scenario.total_nominal_power(),
+            p_batt,
+            breakdown,
+            chip_current,
+            rails,
+        )
     }
 }
 
@@ -440,6 +370,18 @@ impl FlexWattsAuto {
         let ldo = self.ldo.evaluate(scenario)?;
         Ok(if ivr.etee >= ldo.etee { PdnMode::IvrMode } else { PdnMode::LdoMode })
     }
+
+    /// The better of both modes (IVR-Mode on an ETEE tie), with the
+    /// PDN-independent stages routed through a [`Stager`].
+    fn evaluate_with(
+        &self,
+        scenario: &Scenario,
+        stager: &impl Stager,
+    ) -> Result<PdnEvaluation, PdnError> {
+        let ivr = self.ivr.evaluate_with(scenario, stager)?;
+        let ldo = self.ldo.evaluate_with(scenario, stager)?;
+        Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
+    }
 }
 
 impl Pdn for FlexWattsAuto {
@@ -452,9 +394,17 @@ impl Pdn for FlexWattsAuto {
     }
 
     fn evaluate(&self, scenario: &Scenario) -> Result<PdnEvaluation, PdnError> {
-        let ivr = self.ivr.evaluate(scenario)?;
-        let ldo = self.ldo.evaluate(scenario)?;
-        Ok(if ivr.etee >= ldo.etee { ivr } else { ldo })
+        self.evaluate_with(scenario, &DirectStager)
+    }
+
+    /// Both modes through the caller's [`RowStage`], so a batch sweep
+    /// shares the row's guardbands and virus headrooms across them.
+    fn evaluate_row(
+        &self,
+        scenarios: &[Scenario],
+        row: &RowStage,
+    ) -> Vec<Result<PdnEvaluation, PdnError>> {
+        scenarios.iter().map(|s| self.evaluate_with(s, row)).collect()
     }
 
     fn memo_token(&self) -> Option<u64> {
@@ -611,5 +561,77 @@ mod tests {
         let pdn = FlexWattsPdn::new(ModelParams::paper_defaults(), PdnMode::IvrMode);
         assert_eq!(pdn.kind(), PdnKind::FlexWatts);
         assert_eq!(pdn.kind().to_string(), "FlexWatts");
+    }
+
+    /// `FlexWattsPdn` results recorded from the rail-at-a-time load-line
+    /// walk the lockstep one replaced, as exact bits: `[input_power,
+    /// chip_input_current, each rail's current…]` for ST, MT and Graphics
+    /// at AR 0.6, then C0MIN and C8, per mode and TDP.
+    #[rustfmt::skip]
+    const PINNED: [(PdnMode, f64, [&[u64]; 5]); 6] = [
+        (PdnMode::IvrMode, 4.0, [
+            &[0x40111321f3895f12, 0x4007ed11a9bfcb27, 0x3ff805fa383d6d78, 0x3ff2d2292666d225, 0x3fd407ffd36d5ac5],
+            &[0x4011a9984605b2f2, 0x40088ea5a3a5bc4d, 0x3ff949222c094fc4, 0x3ff2d2292666d225, 0x3fd407ffd36d5ac5],
+            &[0x40125288c28b29dc, 0x400943fc5dbe823b, 0x3ffab3cfa03adba0, 0x3ff2d2292666d225, 0x3fd407ffd36d5ac5],
+            &[0x400d182b9ec63828, 0x4003644453e80b5e, 0x3ff6a368a21093dc, 0x3fe75ef293c20950, 0x3fd1d69aef79f8dc],
+            &[0x3fc2b3855d34e809, 0x3fc33c083feb6dc3, 0x3fbf53bd1ab25ab9, 0x3f9c914d94920333],
+        ]),
+        (PdnMode::IvrMode, 18.0, [
+            &[0x4031d38a1696aaaa, 0x40248f447f5359dd, 0x4020fa9560f33c8f, 0x3ff695d81c09f5c3, 0x3fd83e835bdbd2bf],
+            &[0x403283e2d8f726ff, 0x402546c23a003e54, 0x4021b2131ba02106, 0x3ff695d81c09f5c3, 0x3fd83e835bdbd2bf],
+            &[0x40344d6c1dc315eb, 0x402721749de3a603, 0x40238cc57f8388b4, 0x3ff695d81c09f5c3, 0x3fd83e835bdbd2bf],
+            &[0x400d1e8985c644f0, 0x400367ff01ff7328, 0x3ff6a368a21093dc, 0x3fe76d2cfc4eedb2, 0x3fd1d7fb8f1b6e6d],
+            &[0x3fc2c41277143836, 0x3fc345dcf490c157, 0x3fbf66d945415b7c, 0x3f9c93828f809cc6],
+        ]),
+        (PdnMode::IvrMode, 50.0, [
+            &[0x40336057ae0ad1e5, 0x40267a8dc4f1cd1b, 0x40223da001e69128, 0x3ffac7d9ad957a02, 0x3fdc7e51ab11965c],
+            &[0x404096a98dd90a25, 0x403232d299a26278, 0x4030145bb81cc47f, 0x3ffac7d9ad957a02, 0x3fdc7e51ab11965c],
+            &[0x40439cc51eb2d6f6, 0x40353923691edc9a, 0x40331aac87993ea1, 0x3ffac7d9ad957a02, 0x3fdc7e51ab11965c],
+            &[0x400d26924881a56f, 0x40036cb253642a4a, 0x3ff6a368a21093dc, 0x3fe77f2d1f2a5fc7, 0x3fd1d995d48a434e],
+            &[0x3fc2d8fefcad5b09, 0x3fc35245c41a19b0, 0x3fbf7f068e47f669, 0x3f9c9613e7b0f3d8],
+        ]),
+        (PdnMode::LdoMode, 4.0, [
+            &[0x400ef62b022952c1, 0x40186f0e5f32f20c, 0x4012a63bca13ccc0, 0x3ff2c580b5c6f751, 0x3fd3fd4107175614],
+            &[0x400f66c9bf13d305, 0x4019a69514f21df9, 0x4013e3a48d022180, 0x3ff2c580b5c6f751, 0x3fd3fd4107175614],
+            &[0x4010545a1dcc8a72, 0x401adcc03a18e9a2, 0x40151a244c27b364, 0x3ff2c580b5c6f751, 0x3fd3fd4107175614],
+            &[0x4008b50b525e088b, 0x40153935f4de9858, 0x40113281d10bc6b9, 0x3fe74f1d7a4b2ec9, 0x3fd1cd074896bc52],
+            &[0x3fc29dc6c1c12c16, 0x3fc32f7ed8f2a322, 0x3fbf3e7ffffc75d4, 0x3f9c81f6c7a341bd],
+        ]),
+        (PdnMode::LdoMode, 18.0, [
+            &[0x4031d2368c76bdcb, 0x403201692fd7a8fa, 0x40307b363d0880c7, 0x3ff686bd4b8e5bf7, 0x3fd831845b8a2b08],
+            &[0x4032c5f8eec5d15f, 0x4035c4967c87c157, 0x40347466d90f4a5a, 0x3ff686bd4b8e5bf7, 0x3fd831845b8a2b08],
+            &[0x4035f0812983f714, 0x403941bb2d4132cb, 0x4037d9f31acb96da, 0x3ff686bd4b8e5bf7, 0x3fd831845b8a2b08],
+            &[0x4008bb68bd68bfb2, 0x40153b1432f9b6c1, 0x40113281d10bc6b9, 0x3fe75d5ed8decb4d, 0x3fd1ce686d2169d2],
+            &[0x3fc2ae529a825b2a, 0x3fc339585327fc72, 0x3fbf51a5807299a8, 0x3f9c842c97757ced],
+        ]),
+        (PdnMode::LdoMode, 50.0, [
+            &[0x403492dc98e112ee, 0x403326f4877790a4, 0x4031f35a6c22f3cf, 0x3ffab610c4159225, 0x3fdc6f0eb995db96],
+            &[0x404153c453c21db2, 0x4040231814fb3861, 0x403f053a28e6a8c9, 0x3ffab610c4159225, 0x3fdc6f0eb995db96],
+            &[0x404685e2a0d5c187, 0x4045409e00be504b, 0x40449618b553bfee, 0x3ffab610c4159225, 0x3fdc6f0eb995db96],
+            &[0x4008c370e9f216ac, 0x40153d6eff914715, 0x40113281d10bc6b9, 0x3fe76f67cd8e6c87, 0x3fd1d0034d3b2c9a],
+            &[0x3fc2c33d9abb2f57, 0x3fc345c72bb2735e, 0x3fbf69de9d8c37c9, 0x3f9c86bee762bbd0],
+        ]),
+    ];
+
+    #[test]
+    fn evaluations_keep_their_pinned_bits() {
+        let params = ModelParams::paper_defaults();
+        for (mode, tdp, want) in PINNED {
+            let pdn = FlexWattsPdn::new(params.clone(), mode);
+            let soc = client_soc(Watts::new(tdp));
+            let active =
+                [WorkloadType::SingleThread, WorkloadType::MultiThread, WorkloadType::Graphics]
+                    .map(|wl| Scenario::active_fixed_tdp_frequency(&soc, wl, ar(0.6)).unwrap());
+            let idle = [PackageCState::C0Min, PackageCState::C8].map(|s| Scenario::idle(&soc, s));
+            for (scenario, want) in active.iter().chain(&idle).zip(want) {
+                let e = pdn.evaluate(scenario).unwrap();
+                let got: Vec<u64> = [e.input_power.get(), e.chip_input_current.get()]
+                    .into_iter()
+                    .chain(e.rails.iter().map(|r| r.current.get()))
+                    .map(f64::to_bits)
+                    .collect();
+                assert_eq!(got, want, "{mode} {tdp} W {}", scenario.name);
+            }
+        }
     }
 }

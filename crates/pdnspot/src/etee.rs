@@ -156,6 +156,11 @@ pub const MAX_RAIL_LANES: usize = 4;
 /// out-of-order core overlap the lanes' chains (measured ~2× on the
 /// four-rail MBVR group walk).
 ///
+/// Callers: [`crate::MbvrPdn`] (its four group rails),
+/// [`crate::LdoPdn`] (`V_IN`, SA, IO), [`crate::IPlusMbvrPdn`] (SA, IO)
+/// and the `flexwatts` crate's FlexWatts PDN (SA and IO in both modes,
+/// plus `V_IN` in LDO-Mode).
+///
 /// # Panics
 ///
 /// Panics if more than [`MAX_RAIL_LANES`] lanes are passed.

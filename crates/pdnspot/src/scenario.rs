@@ -530,19 +530,13 @@ impl Scenario {
         }
     }
 
-    /// Row-at-a-time counterpart of [`Scenario::idle`]: builds the
-    /// scenarios of one idle row (fixed SoC; package C-state varying). The
-    /// fmin virus tables, the fmin V/f interpolation — state-independent,
-    /// since every idle state runs its powered rails at the minimum
-    /// setpoint — and the name suffix are hoisted out of the per-state
-    /// loop; every returned scenario is bit-identical to
-    /// [`Scenario::idle`]'s.
-    pub fn idle_row(soc: &SocSpec, states: &[PackageCState]) -> Vec<Self> {
-        Self::idle_row_staged(soc, states, Self::fmin_virus_loads(soc))
-    }
-
-    /// [`Scenario::idle_row`] with the fmin virus tables supplied by the
-    /// caller (the batch cache takes them from the SoC's staging slot).
+    /// Row-at-a-time counterpart of [`Scenario::idle`] for the batch
+    /// cache: builds the scenarios of one idle row (fixed SoC; package
+    /// C-state varying) from the fmin virus tables of the SoC's staging
+    /// slot. The fmin V/f interpolation — state-independent, since every
+    /// idle state runs its powered rails at the minimum setpoint — and the
+    /// name suffix are hoisted out of the per-state loop; every returned
+    /// scenario is bit-identical to [`Scenario::idle`]'s.
     pub(crate) fn idle_row_staged(
         soc: &SocSpec,
         states: &[PackageCState],
@@ -987,7 +981,7 @@ mod tests {
     fn idle_row_matches_per_point_constructor_bit_for_bit() {
         let soc = client_soc(Watts::new(25.0));
         let virus = Scenario::fmin_virus_loads(&soc);
-        let row = Scenario::idle_row(&soc, &PackageCState::ALL);
+        let row = Scenario::idle_row_staged(&soc, &PackageCState::ALL, virus);
         assert_eq!(row.len(), PackageCState::ALL.len());
         for (got, &state) in row.iter().zip(PackageCState::ALL.iter()) {
             assert_eq!(*got, Scenario::idle_staged(&soc, state, virus));

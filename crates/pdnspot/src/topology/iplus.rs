@@ -108,9 +108,9 @@ impl IPlusMbvrPdn {
         }
 
         // SA/IO: dedicated one-stage board rails (the MBVR flow), their
-        // load-line fixed points advanced in lockstep. Per rail this is
-        // `dedicated_rail_flow` with the same operations in the same
-        // order, so the bits are unchanged.
+        // load-line fixed points advanced in lockstep. Each lane performs
+        // the scalar load-line operations in the scalar order, so the bits
+        // are the rail-at-a-time walk's.
         let tob = p.ivr_tob.total();
         let r_pg = super::power_gate_impedance();
         let (sa_lane, sa_overhead) = dedicated_rail_lane(

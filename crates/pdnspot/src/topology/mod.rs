@@ -27,8 +27,7 @@ pub use mbvr::MbvrPdn;
 
 use crate::error::PdnError;
 use crate::etee::{
-    board_vr_stage, load_line_domain_stage, LoadLineStep, PdnEvaluation, RailLoadLine, RailReport,
-    RowStage, Stager,
+    board_vr_stage, LoadLineStep, PdnEvaluation, RailLoadLine, RailReport, RowStage, Stager,
 };
 use crate::params::ModelParams;
 use crate::scenario::Scenario;
@@ -221,39 +220,15 @@ pub fn gated_domain_stage(
     (pg.power, pg.voltage, pg.power - load.nominal_power)
 }
 
-/// A dedicated board rail serving one narrow-range domain (SA or IO):
-/// guardband + gate + load line + board VR (the MBVR flow of Eqs. 2–5
-/// applied to a single domain), with the PDN-independent stages routed
-/// through a [`Stager`].
-#[allow(clippy::too_many_arguments)]
-pub fn dedicated_rail_flow(
-    scenario: &Scenario,
-    kind: DomainKind,
-    tob: Volts,
-    r_pg: Ohms,
-    r_ll: Ohms,
-    vr: &BuckConverter,
-    params: &ModelParams,
-    stager: &impl Stager,
-) -> Result<(Watts, Watts, Watts, Watts, RailReport), PdnError> {
-    let (lane, overhead) = dedicated_rail_lane(scenario, kind, tob, r_pg, r_ll, params, stager);
-    let step = load_line_domain_stage(
-        lane.power,
-        lane.voltage,
-        lane.p_peak,
-        lane.r_ll,
-        lane.leakage_fraction,
-        params.leakage_exponent,
-    );
-    dedicated_rail_finish(step, vr, params, overhead)
-}
-
-/// Front half of [`dedicated_rail_flow`] — guardband + power gate —
-/// yielding the rail's load-line lane and the Eq. 2 overhead, so callers
-/// with several dedicated rails can advance the load-line fixed points in
-/// lockstep ([`crate::etee::load_line_domain_stages`]) instead of paying
-/// each chain's latency back-to-back.
-pub(crate) fn dedicated_rail_lane(
+/// Front half of a dedicated board rail serving one narrow-range domain
+/// (SA or IO; the MBVR flow of Eqs. 2–5 applied to a single domain):
+/// guardband + power gate, routed through a [`Stager`], yielding the
+/// rail's load-line lane and the Eq. 2 overhead. Callers advance their
+/// rails' load-line fixed points in lockstep
+/// ([`crate::etee::load_line_domain_stages`]) instead of paying each
+/// chain's latency back-to-back, then finish each rail with
+/// [`dedicated_rail_finish`].
+pub fn dedicated_rail_lane(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,
@@ -274,9 +249,11 @@ pub(crate) fn dedicated_rail_lane(
     (lane, overhead)
 }
 
-/// Back half of [`dedicated_rail_flow`]: the board VR behind an
-/// already-advanced load-line step.
-pub(crate) fn dedicated_rail_finish(
+/// Back half of a dedicated board rail ([`dedicated_rail_lane`]): the
+/// board VR behind an already-advanced load-line step. Returns the
+/// battery-side input power, the overhead passed in, the load-line
+/// conduction cost, the VR loss and the rail report.
+pub fn dedicated_rail_finish(
     step: LoadLineStep,
     vr: &BuckConverter,
     params: &ModelParams,
