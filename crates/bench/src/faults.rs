@@ -19,10 +19,10 @@ use pdn_workload::{Trace, TraceInterval, WorkloadType};
 use pdnspot::{ModelParams, PdnError};
 
 /// The artefact's fixed campaign seed (CI's smoke job depends on it).
-pub const CAMPAIGN_SEED: u64 = 0xF1E2;
+pub(crate) const CAMPAIGN_SEED: u64 = 0xF1E2;
 
 /// The fault mixes the campaign sweeps, in render order.
-pub fn campaign_mixes() -> Vec<(&'static str, FaultMix)> {
+pub(crate) fn campaign_mixes() -> Vec<(&'static str, FaultMix)> {
     vec![
         ("none", FaultMix::none()),
         ("sensors", FaultMix::sensors()),

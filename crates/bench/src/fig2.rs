@@ -14,13 +14,13 @@ use pdnspot::{IvrPdn, MbvrPdn, ModelParams, PdnError};
 
 /// One row of Fig. 2a.
 #[derive(Debug, Clone, Copy)]
-pub struct SensitivityRow {
+pub(crate) struct SensitivityRow {
     /// TDP of the row.
-    pub tdp: f64,
+    pub(crate) tdp: f64,
     /// mW per 1 % CPU-clock increase.
-    pub cpu_mw: f64,
+    pub(crate) cpu_mw: f64,
     /// mW per 1 % graphics-clock increase.
-    pub gfx_mw: f64,
+    pub(crate) gfx_mw: f64,
 }
 
 /// Computes Fig. 2a: frequency sensitivity per TDP.
@@ -28,7 +28,7 @@ pub struct SensitivityRow {
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn frequency_sensitivity_rows() -> Result<Vec<SensitivityRow>, PdnError> {
+pub(crate) fn frequency_sensitivity_rows() -> Result<Vec<SensitivityRow>, PdnError> {
     let params = ModelParams::paper_defaults();
     let pdn = IvrPdn::new(params);
     let ar = ApplicationRatio::new(0.7).expect("static AR");
@@ -48,7 +48,7 @@ pub fn frequency_sensitivity_rows() -> Result<Vec<SensitivityRow>, PdnError> {
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn budget_breakdown_rows() -> Result<Vec<(f64, BudgetBreakdown)>, PdnError> {
+pub(crate) fn budget_breakdown_rows() -> Result<Vec<(f64, BudgetBreakdown)>, PdnError> {
     let params = ModelParams::paper_defaults();
     let ivr = IvrPdn::new(params.clone());
     let mbvr = MbvrPdn::new(params);

@@ -6,17 +6,17 @@ use pdn_units::Volts;
 use pdn_vr::{presets, EfficiencySurface, VrError, VrPowerState};
 
 /// The Fig. 3 sweep: output voltages and power states measured.
-pub const VOUTS: [f64; 4] = [0.6, 0.7, 1.0, 1.8];
+pub(crate) const VOUTS: [f64; 4] = [0.6, 0.7, 1.0, 1.8];
 
 /// Currents reported per curve (log-spaced 0.1–10 A like the figure).
-pub const CURRENTS: [f64; 7] = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0];
+pub(crate) const CURRENTS: [f64; 7] = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0];
 
 /// "Measures" the off-chip V_IN VR over the Fig. 3 lattice.
 ///
 /// # Errors
 ///
 /// Propagates device errors.
-pub fn measure_board_vr() -> Result<EfficiencySurface, VrError> {
+pub(crate) fn measure_board_vr() -> Result<EfficiencySurface, VrError> {
     EfficiencySurface::sample(
         &presets::vin_board_vr(),
         &[Volts::new(7.2)],

@@ -15,20 +15,21 @@ pub const PANEL_TDPS: [f64; 3] = [4.0, 18.0, 50.0];
 
 /// One validation point: predicted and measured ETEE.
 #[derive(Debug, Clone)]
-pub struct ValidationPoint {
+pub(crate) struct ValidationPoint {
     /// PDN name.
-    pub pdn: String,
+    pub(crate) pdn: String,
     /// Scenario label (e.g. `"multi-thread-18W-ar60"`).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Model-predicted ETEE.
-    pub predicted: f64,
+    pub(crate) predicted: f64,
     /// Reference-system ("measured") ETEE.
-    pub measured: f64,
+    pub(crate) measured: f64,
 }
 
 /// What [`campaign`] produces: per-PDN validation reports, the
 /// flattened points, and the batch statistics of the run.
-pub type CampaignOutput = (Vec<(String, ValidationReport)>, Vec<ValidationPoint>, BatchStats);
+pub(crate) type CampaignOutput =
+    (Vec<(String, ValidationReport)>, Vec<ValidationPoint>, BatchStats);
 
 /// Runs the full Fig. 4 campaign: panels a–i plus the C-state panel j.
 ///
@@ -43,7 +44,7 @@ pub type CampaignOutput = (Vec<(String, ValidationReport)>, Vec<ValidationPoint>
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn campaign(seed: u64) -> Result<CampaignOutput, PdnError> {
+pub(crate) fn campaign(seed: u64) -> Result<CampaignOutput, PdnError> {
     let params = ModelParams::paper_defaults();
     let reference = ReferenceSystem::new(seed);
     // Panels a-i: the active lattice, in the same TDP-major order the

@@ -9,32 +9,32 @@ use pdn_workload::WorkloadType;
 use pdnspot::{ModelParams, PdnError, PdnKind, Scenario};
 
 /// The workload point of Fig. 5.
-pub const FIG5_AR: f64 = 0.56;
+pub(crate) const FIG5_AR: f64 = 0.56;
 
 /// One bar of Fig. 5.
 #[derive(Debug, Clone)]
-pub struct LossBar {
+pub(crate) struct LossBar {
     /// PDN name.
-    pub pdn: PdnKind,
+    pub(crate) pdn: PdnKind,
     /// TDP of the bar.
-    pub tdp: f64,
+    pub(crate) tdp: f64,
     /// VR-inefficiency share of input power.
-    pub vr: f64,
+    pub(crate) vr: f64,
     /// Core/GFX conduction share.
-    pub conduction_compute: f64,
+    pub(crate) conduction_compute: f64,
     /// SA/IO conduction share.
-    pub conduction_sa_io: f64,
+    pub(crate) conduction_sa_io: f64,
     /// Other (guardband, gates) share.
-    pub other: f64,
+    pub(crate) other: f64,
     /// Chip input current in amperes.
-    pub chip_current: f64,
+    pub(crate) chip_current: f64,
     /// Effective compute load-line in milliohms.
-    pub r_ll_mohm: f64,
+    pub(crate) r_ll_mohm: f64,
 }
 
 impl LossBar {
     /// Total loss share.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.vr + self.conduction_compute + self.conduction_sa_io + self.other
     }
 }
@@ -44,7 +44,7 @@ impl LossBar {
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn bars() -> Result<Vec<LossBar>, PdnError> {
+pub(crate) fn bars() -> Result<Vec<LossBar>, PdnError> {
     let params = ModelParams::paper_defaults();
     let ar = ApplicationRatio::new(FIG5_AR).expect("static AR");
     let mut out = Vec::new();

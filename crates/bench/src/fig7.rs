@@ -13,31 +13,22 @@ use pdnspot::{BatchStats, IvrPdn, MemoCache, ModelParams, PdnError};
 
 /// One benchmark's normalised performance under the five PDNs.
 #[derive(Debug, Clone)]
-pub struct Fig7Row {
+pub(crate) struct Fig7Row {
     /// The benchmark.
-    pub benchmark: SpecBenchmark,
+    pub(crate) benchmark: SpecBenchmark,
     /// Performance under [IVR, MBVR, LDO, I+MBVR, FlexWatts], IVR = 1.0.
-    pub perf: [f64; 5],
+    pub(crate) perf: [f64; 5],
 }
 
-/// Computes the 29 rows plus the average row, at the given TDP (Fig. 7
-/// uses 4 W).
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn rows(tdp: Watts) -> Result<Vec<Fig7Row>, PdnError> {
-    rows_with_stats(tdp, Workers::Auto).map(|(rows, _)| rows)
-}
-
-/// [`rows`] on the batch engine: the per-benchmark solver fan-out runs
+/// Computes the 29 rows plus the average row at the given TDP (Fig. 7
+/// uses 4 W) on the batch engine: the per-benchmark solver fan-out runs
 /// on the worker pool (one task per benchmark, five PDNs each) and the
 /// run's [`BatchStats`] are returned alongside the rows.
 ///
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn rows_with_stats(
+pub(crate) fn rows_with_stats(
     tdp: Watts,
     workers: Workers,
 ) -> Result<(Vec<Fig7Row>, BatchStats), PdnError> {
@@ -75,7 +66,7 @@ pub fn rows_with_stats(
 }
 
 /// The average normalised performance across the suite.
-pub fn average(rows: &[Fig7Row]) -> [f64; 5] {
+pub(crate) fn average(rows: &[Fig7Row]) -> [f64; 5] {
     let mut avg = [0.0f64; 5];
     for r in rows {
         for (a, p) in avg.iter_mut().zip(&r.perf) {
@@ -122,7 +113,7 @@ mod tests {
     fn headline_average_gain_matches_the_paper() {
         // §7.1: MBVR/LDO/FlexWatts average > 22 % over IVR at 4 W, with
         // FlexWatts within 1 % of the best static PDN.
-        let rows = rows(Watts::new(4.0)).unwrap();
+        let (rows, _) = rows_with_stats(Watts::new(4.0), Workers::Auto).unwrap();
         assert_eq!(rows.len(), 29);
         let avg = average(&rows);
         let [ivr, mbvr, ldo, iplus, flexwatts] = avg;
@@ -139,7 +130,7 @@ mod tests {
 
     #[test]
     fn gains_track_scalability_ordering() {
-        let rows = rows(Watts::new(4.0)).unwrap();
+        let (rows, _) = rows_with_stats(Watts::new(4.0), Workers::Auto).unwrap();
         // The most scalable benchmark gains the most under FlexWatts.
         let first_gain = rows.first().unwrap().perf[4] - 1.0;
         let last_gain = rows.last().unwrap().perf[4] - 1.0;

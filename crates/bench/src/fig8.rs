@@ -17,18 +17,18 @@ use pdnspot::{BatchStats, IvrPdn, MemoCache, ModelParams, PdnError};
 
 /// The five-PDN series of one panel: one value per (TDP, PDN).
 #[derive(Debug, Clone)]
-pub struct Panel {
+pub(crate) struct Panel {
     /// Panel title.
-    pub title: String,
+    pub(crate) title: String,
     /// Row labels (TDPs or workload names).
-    pub labels: Vec<String>,
+    pub(crate) labels: Vec<String>,
     /// Values per row, ordered [IVR, MBVR, LDO, I+MBVR, FlexWatts].
-    pub values: Vec<[f64; 5]>,
+    pub(crate) values: Vec<[f64; 5]>,
 }
 
 impl Panel {
     /// Renders the panel as a table (values already normalised).
-    pub fn render(&self, unit: &str) -> String {
+    pub(crate) fn render(&self, unit: &str) -> String {
         let mut t = TextTable::new(
             self.title.clone(),
             &["point", "IVR", "MBVR", "LDO", "I+MBVR", "FlexWatts"],
@@ -43,29 +43,6 @@ impl Panel {
         }
         t.render()
     }
-}
-
-/// Panel (a): SPEC CPU2006 average performance vs TDP.
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn spec_average_panel() -> Result<Panel, PdnError> {
-    performance_panel(
-        "Fig. 8a — SPEC CPU2006 average performance (normalised to IVR)",
-        WorkloadType::MultiThread,
-    )
-    .map(|(panel, _)| panel)
-}
-
-/// Panel (b): 3DMark06 performance vs TDP.
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn graphics_panel() -> Result<Panel, PdnError> {
-    performance_panel("Fig. 8b — 3DMark06 performance (normalised to IVR)", WorkloadType::Graphics)
-        .map(|(panel, _)| panel)
 }
 
 /// SPEC's Fig. 8a panel runs the suite as multi-programmed pairs (both
@@ -124,23 +101,14 @@ fn performance_panel(title: &str, wl: WorkloadType) -> Result<(Panel, BatchStats
 }
 
 /// Panel (c): battery-life average power, normalised to IVR (lower is
-/// better).
+/// better), plus the batch statistics of its `(workload, PDN)` fan-out;
+/// raw powers are computed in parallel and normalised to the IVR column
+/// serially.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn battery_panel() -> Result<Panel, PdnError> {
-    battery_panel_with_stats().map(|(panel, _)| panel)
-}
-
-/// [`battery_panel`] plus the batch statistics of its `(workload, PDN)`
-/// fan-out; raw powers are computed in parallel and normalised to the
-/// IVR column serially.
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
-pub fn battery_panel_with_stats() -> Result<(Panel, BatchStats), PdnError> {
+pub(crate) fn battery_panel_with_stats() -> Result<(Panel, BatchStats), PdnError> {
     let params = ModelParams::paper_defaults();
     let pdns = five_pdns(&params);
     // §7.1: battery-life power is TDP-insensitive; evaluated at 18 W.
@@ -185,22 +153,14 @@ pub fn battery_panel_with_stats() -> Result<(Panel, BatchStats), PdnError> {
     ))
 }
 
-/// Panels (d) and (e): BOM cost and board area vs TDP, normalised to IVR.
+/// Panels (d) and (e): BOM cost and board area vs TDP, normalised to
+/// IVR, plus the batch statistics of the `(TDP, PDN)` rail-sizing
+/// fan-out.
 ///
 /// # Errors
 ///
 /// Propagates rail-sizing errors.
-pub fn bom_area_panels() -> Result<(Panel, Panel), PdnError> {
-    bom_area_panels_with_stats().map(|(bom, area, _)| (bom, area))
-}
-
-/// [`bom_area_panels`] plus the batch statistics of the `(TDP, PDN)`
-/// rail-sizing fan-out.
-///
-/// # Errors
-///
-/// Propagates rail-sizing errors.
-pub fn bom_area_panels_with_stats() -> Result<(Panel, Panel, BatchStats), PdnError> {
+pub(crate) fn bom_area_panels_with_stats() -> Result<(Panel, Panel, BatchStats), PdnError> {
     let params = ModelParams::paper_defaults();
     let catalog = VrCatalog::paper_calibrated();
     let pdns = five_pdns(&params);
@@ -286,7 +246,7 @@ mod tests {
 
     #[test]
     fn fig8a_flexwatts_wins_low_tdp_and_holds_high_tdp() {
-        let a = spec_average_panel().unwrap();
+        let (a, _) = performance_panel("8a", WorkloadType::MultiThread).unwrap();
         let fw_4w = col(&a, "4W", 4);
         assert!(fw_4w > 1.07 && fw_4w < 1.40, "SPEC average FlexWatts gain at 4 W: {fw_4w:.3}");
         // At 50 W FlexWatts stays within ~1 % of IVR (its IVR-Mode).
@@ -307,7 +267,7 @@ mod tests {
 
     #[test]
     fn fig8b_graphics_gains_at_low_tdp() {
-        let b = graphics_panel().unwrap();
+        let (b, _) = performance_panel("8b", WorkloadType::Graphics).unwrap();
         let fw_4w = col(&b, "4W", 4);
         assert!(fw_4w > 1.10 && fw_4w < 1.45, "3DMark06 FlexWatts gain at 4 W: {fw_4w:.3}");
         let fw_50w = col(&b, "50W", 4);
@@ -318,7 +278,7 @@ mod tests {
     fn fig8c_video_playback_power_drop_matches_headline() {
         // Headline: FlexWatts reduces video-playback average power by
         // ≈ 11 % vs IVR (8–17 % band accepted for the reproduction).
-        let c = battery_panel().unwrap();
+        let (c, _) = battery_panel_with_stats().unwrap();
         let fw = col(&c, "video-playback", 4);
         assert!((0.83..=0.92).contains(&fw), "FlexWatts video playback vs IVR: {fw:.3}");
         // FlexWatts within ~1 % of MBVR on battery life.
@@ -328,7 +288,7 @@ mod tests {
 
     #[test]
     fn fig8d_e_flexwatts_comparable_to_ivr() {
-        let (d, e) = bom_area_panels().unwrap();
+        let (d, e, _) = bom_area_panels_with_stats().unwrap();
         for tdp in ["4W", "18W", "50W"] {
             let fw_bom = col(&d, tdp, 4);
             let fw_area = col(&e, tdp, 4);

@@ -24,6 +24,7 @@
 //! | Trace ingestion (`BENCH_trace.json`) | [`tracebench`] | `trace` |
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablation;
 pub mod faults;

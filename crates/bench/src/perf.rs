@@ -65,9 +65,9 @@ pub struct KernelReport {
     pub wall_s: f64,
     /// Heap allocations during the timed run (0 without the counting
     /// allocator).
-    pub allocations: u64,
+    pub(crate) allocations: u64,
     /// Deterministic digest of the numeric results.
-    pub digest: String,
+    pub(crate) digest: String,
 }
 
 impl KernelReport {
@@ -151,7 +151,7 @@ fn sweep_grid(quick: bool) -> SweepGrid {
 }
 
 /// Kernel 1: the design-space grid sweep over the four PDN topologies.
-pub fn batch_kernel(quick: bool) -> KernelReport {
+pub(crate) fn batch_kernel(quick: bool) -> KernelReport {
     let params = ModelParams::paper_defaults();
     let ivr = IvrPdn::new(params.clone());
     let mbvr = MbvrPdn::new(params.clone());
@@ -188,7 +188,7 @@ pub fn batch_kernel(quick: bool) -> KernelReport {
 
 /// Kernel 2: the Fig. 4-style validation campaign (model evaluation plus
 /// reference-system reintegration and noise).
-pub fn validation_kernel(quick: bool) -> KernelReport {
+pub(crate) fn validation_kernel(quick: bool) -> KernelReport {
     let params = ModelParams::paper_defaults();
     let pdn = MbvrPdn::new(params);
     let tdps: &[f64] = if quick { &[4.0, 18.0] } else { &[4.0, 18.0, 50.0] };
@@ -252,7 +252,7 @@ fn runtime_trace(quick: bool) -> Trace {
 }
 
 /// Kernel 3: the FlexWatts runtime interval simulator.
-pub fn runtime_kernel(quick: bool) -> KernelReport {
+pub(crate) fn runtime_kernel(quick: bool) -> KernelReport {
     let predictor = flexwatts::ModePredictor::train(
         &ModelParams::paper_defaults(),
         &[4.0, 10.0, 18.0, 25.0, 50.0],
@@ -287,7 +287,7 @@ pub fn runtime_kernel(quick: bool) -> KernelReport {
 /// cache. The cold pass pays every evaluation (plus cache bookkeeping);
 /// the warm pass must be answered entirely from memory, which the digest
 /// pins as an exact hit rate.
-pub fn memo_kernel(quick: bool) -> KernelReport {
+pub(crate) fn memo_kernel(quick: bool) -> KernelReport {
     let params = ModelParams::paper_defaults();
     let ivr = IvrPdn::new(params.clone());
     let mbvr = MbvrPdn::new(params.clone());
@@ -337,7 +337,7 @@ pub fn memo_kernel(quick: bool) -> KernelReport {
 /// Round 1 populates the cache (the scan grid plus every bisection
 /// probe); round 2 re-runs the same searches and must find every
 /// evaluation already cached.
-pub fn crossover_kernel(quick: bool) -> KernelReport {
+pub(crate) fn crossover_kernel(quick: bool) -> KernelReport {
     use pdnspot::sweep::crossover;
 
     let params = ModelParams::paper_defaults();
@@ -410,7 +410,7 @@ pub fn crossover_kernel(quick: bool) -> KernelReport {
 /// ratio is the dirty-slab speedup the CI gate protects. The digest pins
 /// the dirty evaluation count and that the patched surfaces equal a
 /// from-scratch re-sweep of the new grid bit for bit.
-pub fn delta_kernel(quick: bool) -> KernelReport {
+pub(crate) fn delta_kernel(quick: bool) -> KernelReport {
     use pdnspot::sweep::{surfaces, surfaces_delta};
 
     let params = ModelParams::paper_defaults();
@@ -476,7 +476,7 @@ pub fn delta_kernel(quick: bool) -> KernelReport {
 /// small fan-outs a sweep round issues — so the reported ns/point is the
 /// per-call dispatch overhead (points are calls). The digest pins the
 /// call count and the sum of every returned item.
-pub fn dispatch_kernel(quick: bool) -> KernelReport {
+pub(crate) fn dispatch_kernel(quick: bool) -> KernelReport {
     let calls = if quick { 200 } else { 2000 };
     let items = [1u64, 2];
     let run = || {
@@ -541,7 +541,7 @@ fn kernel_json(k: &KernelReport) -> String {
 /// Pulls `(name, ns_per_point)` pairs out of a previously emitted
 /// `BENCH_batch.json` (naive line scan over the stable one-kernel-per-line
 /// format; no JSON parser is vendored).
-pub fn extract_baseline_ns(json: &str) -> Vec<(String, f64)> {
+pub(crate) fn extract_baseline_ns(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for line in json.lines() {
         let Some(name) = field_str(line, "\"name\": \"") else { continue };

@@ -2,7 +2,7 @@
 
 /// A text table with a title, column headers, and rows.
 #[derive(Debug, Clone, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -10,7 +10,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Self {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -19,23 +19,13 @@ impl TextTable {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         self.rows.push(cells);
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -66,12 +56,12 @@ impl TextTable {
 }
 
 /// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// Formats a ratio normalised to a baseline (e.g. `1.73x`).
-pub fn times(x: f64) -> String {
+pub(crate) fn times(x: f64) -> String {
     format!("{x:.2}x")
 }
 
@@ -87,8 +77,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("alpha"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         // Both rows align on the same column width.
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[2].len(), lines[3].len());

@@ -22,7 +22,7 @@ pub fn five_pdns(params: &ModelParams) -> Vec<Box<dyn Pdn>> {
 }
 
 /// Builds the three baseline PDNs of Figs. 4 and 5 (IVR, MBVR, LDO).
-pub fn three_baselines(params: &ModelParams) -> Vec<Box<dyn Pdn>> {
+pub(crate) fn three_baselines(params: &ModelParams) -> Vec<Box<dyn Pdn>> {
     vec![
         Box::new(IvrPdn::new(params.clone())),
         Box::new(MbvrPdn::new(params.clone())),

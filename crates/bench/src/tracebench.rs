@@ -56,7 +56,7 @@ pub struct TraceLeg {
     /// Wall time of the timed section, in seconds.
     pub wall_s: f64,
     /// Deterministic digest of the leg's numeric results.
-    pub digest: String,
+    pub(crate) digest: String,
 }
 
 impl TraceLeg {

@@ -4,7 +4,7 @@
 //! The paper's safety argument (§6) is that mode switching is
 //! voltage-noise-free and that the PMU's maximum-current protection —
 //! never the efficiency preference — has the last word on the shared
-//! `V_IN` rail. The clean-path simulator in [`crate::runtime`] exercises
+//! `V_IN` rail. The clean-path simulator in `crate::runtime` exercises
 //! neither claim under adversity, so this module adds a seeded fault
 //! layer and the recovery contract that keeps the closed loop safe while
 //! faults land:
@@ -150,15 +150,15 @@ pub struct FaultEvent {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultMix {
     /// Stuck-at / noisy sensor rate.
-    pub sensor: f64,
+    pub(crate) sensor: f64,
     /// Telemetry-drop rate.
-    pub telemetry: f64,
+    pub(crate) telemetry: f64,
     /// `V_IN` droop rate.
-    pub vin_droop: f64,
+    pub(crate) vin_droop: f64,
     /// Switch-flow failure rate.
-    pub switch_flow: f64,
+    pub(crate) switch_flow: f64,
     /// Firmware bit-flip rate.
-    pub firmware: f64,
+    pub(crate) firmware: f64,
 }
 
 impl FaultMix {
@@ -219,7 +219,7 @@ impl FaultPlan {
     }
 
     /// Adds one fault at one interval (builder style).
-    pub fn with_event(mut self, interval: usize, kind: FaultKind) -> Self {
+    pub(crate) fn with_event(mut self, interval: usize, kind: FaultKind) -> Self {
         self.by_interval.entry(interval).or_default().push(kind);
         self.events += 1;
         self
@@ -266,11 +266,6 @@ impl FaultPlan {
         plan
     }
 
-    /// The seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Total number of scheduled fault events.
     pub fn len(&self) -> usize {
         self.events
@@ -302,25 +297,25 @@ impl FaultPlan {
 pub struct DegradationPolicy {
     /// Retries granted to a failed mode-switch flow (beyond the first
     /// attempt) before the decision is abandoned.
-    pub max_switch_retries: u32,
+    pub(crate) max_switch_retries: u32,
     /// Linear backoff added before each retry (`attempt × backoff` of
     /// normal execution in the current mode).
-    pub retry_backoff: Seconds,
+    pub(crate) retry_backoff: Seconds,
     /// Consecutive abandoned switch sequences after which the watchdog
     /// latches the safe IVR-Mode instead of oscillating.
-    pub watchdog_threshold: u32,
+    pub(crate) watchdog_threshold: u32,
     /// Whether implausible/missing sensor readings fall back to the
     /// last-good sample (the graceful path). When disabled, drops assume
     /// the conservative full-activity reading and corrupt samples are
     /// consumed raw.
-    pub sensor_fallback: bool,
+    pub(crate) sensor_fallback: bool,
     /// A sensor reading jumping more than this from the last-good sample
     /// is treated as implausible. Two consecutive consistent outliers are
     /// accepted as a genuine workload change.
-    pub sensor_jump_threshold: f64,
+    pub(crate) sensor_jump_threshold: f64,
     /// Strict mode: instead of degrading gracefully, an abandoned switch
     /// sequence aborts the campaign with [`PdnError::Degraded`].
-    pub strict: bool,
+    pub(crate) strict: bool,
 }
 
 impl Default for DegradationPolicy {
@@ -333,13 +328,6 @@ impl Default for DegradationPolicy {
             sensor_jump_threshold: 0.35,
             strict: false,
         }
-    }
-}
-
-impl DegradationPolicy {
-    /// The strict variant of the default policy: degradation is an error.
-    pub fn strict() -> Self {
-        Self { strict: true, ..Self::default() }
     }
 }
 
@@ -375,7 +363,7 @@ pub struct FaultCounts {
     pub dormant: u64,
     /// Guard activations with no fault injected (plausibility filter
     /// tripped by a genuine workload change).
-    pub false_positives: u64,
+    pub(crate) false_positives: u64,
 }
 
 impl FaultCounts {
@@ -410,7 +398,7 @@ pub struct InvariantReport {
     /// Whether the oracle's energy stayed ≤ the runtime's (the oracle
     /// runs the cheaper mode under the same wall clock, so a violation
     /// means the accounting double-charged or dropped energy).
-    pub oracle_bounded: bool,
+    pub(crate) oracle_bounded: bool,
 }
 
 impl InvariantReport {
@@ -443,7 +431,7 @@ impl fmt::Display for InvariantReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignReport {
     /// The plan's seed (for reproduction).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The usual energy/switch report of the (faulted) run.
     pub runtime: RuntimeReport,
     /// Fault accounting totals.
@@ -536,8 +524,8 @@ impl FlexWattsRuntime {
     ///
     /// # Errors
     ///
-    /// Propagates PDNspot evaluation errors; under a
-    /// [strict](DegradationPolicy::strict) policy, also returns
+    /// Propagates PDNspot evaluation errors; under a strict policy, also
+    /// returns
     /// [`PdnError::Degraded`] when a switch sequence exhausts its
     /// retries.
     pub fn run_faulted(
@@ -1197,7 +1185,13 @@ mod tests {
             )],
         );
         let plan = FaultPlan::new(5).with_event(0, FaultKind::SwitchFailure { attempts: 100 });
-        let err = rt.run_faulted(&trace, &plan, &DegradationPolicy::strict()).unwrap_err();
+        let err = rt
+            .run_faulted(
+                &trace,
+                &plan,
+                &DegradationPolicy { strict: true, ..DegradationPolicy::default() },
+            )
+            .unwrap_err();
         assert!(
             matches!(&err, PdnError::Degraded { component, .. }
                 if component == "FlexWattsRuntime"),

@@ -13,46 +13,9 @@ use pdn_vr::{
     presets, BuckConverter, LdoRegulator, OperatingPoint, Placement, VoltageRegulator, VrError,
 };
 
-/// The resources a hybrid VR shares between its two modes (§6, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedResources {
-    /// The high-side NMOS power switch of the baseline IVR doubles as the
-    /// LDO pass device.
-    pub hs_power_switch: bool,
-    /// Package and die decoupling capacitors serve both modes.
-    pub decoupling_caps: bool,
-    /// Board/package/die routing and the off-chip `V_IN` VR are common.
-    pub vin_routing: bool,
-}
-
-impl SharedResources {
-    /// The sharing FlexWatts implements (everything shared).
-    pub const FLEXWATTS: SharedResources =
-        SharedResources { hs_power_switch: true, decoupling_caps: true, vin_routing: true };
-}
-
 /// A hybrid IVR/LDO regulator for one wide-power-range domain.
-///
-/// # Examples
-///
-/// ```
-/// use flexwatts::{HybridVr, PdnMode};
-/// use pdn_units::{Amps, Volts};
-/// use pdn_vr::{OperatingPoint, VoltageRegulator};
-///
-/// let mut vr = HybridVr::new("HVR_Core0");
-/// // IVR-Mode: fed at 1.8 V.
-/// let op = OperatingPoint::new(Volts::new(1.8), Volts::new(0.7), Amps::new(4.0));
-/// let eta_ivr = vr.efficiency(op)?;
-/// // LDO-Mode: fed at (near) the domain voltage.
-/// vr.set_mode(PdnMode::LdoMode);
-/// let op = OperatingPoint::new(Volts::new(0.72), Volts::new(0.7), Amps::new(4.0));
-/// let eta_ldo = vr.efficiency(op)?;
-/// assert!(eta_ldo.get() > eta_ivr.get(), "bypass beats buck when voltages align");
-/// # Ok::<(), pdn_vr::VrError>(())
-/// ```
 #[derive(Debug, Clone)]
-pub struct HybridVr {
+pub(crate) struct HybridVr {
     name: String,
     mode: PdnMode,
     ivr: BuckConverter,
@@ -61,25 +24,15 @@ pub struct HybridVr {
 
 impl HybridVr {
     /// Creates a hybrid VR in IVR-Mode.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         Self { ivr: presets::ivr(&name), ldo: presets::ldo(&name), mode: PdnMode::IvrMode, name }
     }
 
-    /// The active mode.
-    pub fn mode(&self) -> PdnMode {
-        self.mode
-    }
-
     /// Switches the device personality. In a real part this happens only
     /// inside the package-C6 switch flow; the runtime enforces that.
-    pub fn set_mode(&mut self, mode: PdnMode) {
+    pub(crate) fn set_mode(&mut self, mode: PdnMode) {
         self.mode = mode;
-    }
-
-    /// The resources shared between modes.
-    pub fn shared_resources(&self) -> SharedResources {
-        SharedResources::FLEXWATTS
     }
 }
 
@@ -123,7 +76,6 @@ mod tests {
         assert!(!vr.supports_conversion(Volts::new(0.9), Volts::new(0.85)));
         vr.set_mode(PdnMode::LdoMode);
         assert!(vr.supports_conversion(Volts::new(0.9), Volts::new(0.85)));
-        assert_eq!(vr.mode(), PdnMode::LdoMode);
     }
 
     #[test]
@@ -136,10 +88,22 @@ mod tests {
     }
 
     #[test]
+    fn ldo_mode_bypass_beats_buck_when_voltages_align() -> Result<(), VrError> {
+        let mut vr = HybridVr::new("HVR_Core0");
+        // IVR-Mode: fed at 1.8 V.
+        let op = OperatingPoint::new(Volts::new(1.8), Volts::new(0.7), Amps::new(4.0));
+        let eta_ivr = vr.efficiency(op)?;
+        // LDO-Mode: fed at (near) the domain voltage.
+        vr.set_mode(PdnMode::LdoMode);
+        let op = OperatingPoint::new(Volts::new(0.72), Volts::new(0.7), Amps::new(4.0));
+        let eta_ldo = vr.efficiency(op)?;
+        assert!(eta_ldo.get() > eta_ivr.get(), "bypass beats buck when voltages align");
+        Ok(())
+    }
+
+    #[test]
     fn shared_switch_limits_both_modes() {
         let vr = HybridVr::new("HVR");
         assert!(vr.iccmax().get() <= 40.0);
-        assert_eq!(vr.shared_resources(), SharedResources::FLEXWATTS);
-        assert!(vr.shared_resources().hs_power_switch);
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Components:
 //!
-//! * [`hybrid::HybridVr`] — the dual-personality regulator sharing the
+//! * the hybrid regulator — the dual-personality regulator sharing the
 //!   high-side NMOS power switch and decoupling between both modes;
 //! * [`topology::FlexWattsPdn`] — the PDN model, implementing PDNspot's
 //!   [`pdnspot::Pdn`] trait for either mode (SA/IO stay on dedicated
@@ -54,29 +54,28 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod faults;
-pub mod hybrid;
+pub(crate) mod hybrid;
 pub mod overhead;
-pub mod predictor;
-pub mod protection;
-pub mod replay;
-pub mod runtime;
-pub mod switchflow;
+pub(crate) mod predictor;
+pub(crate) mod protection;
+pub(crate) mod replay;
+pub(crate) mod runtime;
+pub(crate) mod switchflow;
 pub mod topology;
 
 pub use faults::{
-    DegradationPolicy, FaultCampaignReport, FaultClass, FaultCounts, FaultEvent, FaultKind,
-    FaultMix, FaultPlan, InvariantReport,
+    DegradationPolicy, FaultCampaignReport, FaultClass, FaultCounts, FaultMix, FaultPlan,
 };
-pub use hybrid::HybridVr;
 pub use predictor::{ModePredictor, PredictorInputs};
 pub use protection::MaxCurrentProtection;
 pub use replay::{
-    replay_trace_file, CheckpointDefect, CheckpointPlan, FileReplayReport, ReplayCheckpoint,
-    ReplayError, ReplayFileOptions, TraceReplayer,
+    replay_trace_file, CheckpointPlan, FileReplayReport, ReplayCheckpoint, ReplayFileOptions,
+    TraceReplayer,
 };
 pub use runtime::{FlexWattsRuntime, RuntimeConfig, RuntimeReport};
-pub use switchflow::{ModeSwitchFlow, SwitchTransition};
+pub use switchflow::ModeSwitchFlow;
 pub use topology::{FlexWattsAuto, FlexWattsPdn, PdnMode};

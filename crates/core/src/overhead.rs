@@ -11,13 +11,13 @@ use pdn_units::{Seconds, SquareMillimeters};
 
 /// Additional die area of the LDO-mode circuitry per hybrid VR at 14 nm
 /// (§6: 0.041 mm²).
-pub const LDO_MODE_AREA: SquareMillimeters = SquareMillimeters::new(0.041);
+pub(crate) const LDO_MODE_AREA: SquareMillimeters = SquareMillimeters::new(0.041);
 
 /// Intel dual-core client die area at 14 nm (≈ 101 mm², WikiChip).
-pub const DUAL_CORE_DIE: SquareMillimeters = SquareMillimeters::new(101.0);
+pub(crate) const DUAL_CORE_DIE: SquareMillimeters = SquareMillimeters::new(101.0);
 
 /// Intel quad-core client die area at 14 nm (≈ 122 mm², WikiChip).
-pub const QUAD_CORE_DIE: SquareMillimeters = SquareMillimeters::new(122.0);
+pub(crate) const QUAD_CORE_DIE: SquareMillimeters = SquareMillimeters::new(122.0);
 
 /// The §6 overhead summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +29,7 @@ pub struct OverheadSummary {
     /// Die-area overhead as a fraction of the quad-core die.
     pub quad_core_fraction: f64,
     /// Total mode-switch latency.
-    pub switch_latency: Seconds,
+    pub(crate) switch_latency: Seconds,
 }
 
 /// Computes the paper's §6 overhead summary.

@@ -64,7 +64,7 @@ pub struct ModePredictor {
 
 impl ModePredictor {
     /// The paper's evaluation interval.
-    pub const DEFAULT_INTERVAL: Seconds = Seconds::new(0.010);
+    pub(crate) const DEFAULT_INTERVAL: Seconds = Seconds::new(0.010);
 
     /// Trains the predictor by tabulating both FlexWatts modes with
     /// PDNspot over the given (TDP, AR) lattice — the §6 "two sets of ETEE
@@ -82,11 +82,14 @@ impl ModePredictor {
     }
 
     /// [`ModePredictor::train`] with an optional shared [`MemoCache`].
-    /// Both mode tabulations run through the same cache (each mode keys
-    /// its own entries via its [`pdnspot::Pdn::memo_token`]), and a caller
-    /// retraining over overlapping lattices — resolution ablations, fault
-    /// campaigns — reuses every previously evaluated point. The trained
-    /// tables are bit-identical with or without the cache.
+    /// With `Some`, both mode tabulations run through the cache (each mode
+    /// keys its own entries via its [`pdnspot::Pdn::memo_token`]), so a
+    /// caller retraining over overlapping lattices — a daemon booting
+    /// from a warm snapshot — reuses every previously evaluated point.
+    /// `None` evaluates every point directly: one training never
+    /// evaluates a scenario twice for the same mode, so a cache private
+    /// to one call could not hit. The trained tables are bit-identical
+    /// with or without the cache.
     ///
     /// # Errors
     ///
@@ -99,23 +102,9 @@ impl ModePredictor {
     ) -> Result<Self, PdnError> {
         let ivr = FlexWattsPdn::new(params.clone(), PdnMode::IvrMode);
         let ldo = FlexWattsPdn::new(params.clone(), PdnMode::LdoMode);
-        let local = MemoCache::new();
-        let memo = memo.unwrap_or(&local);
         Ok(Self {
-            ivr_tables: EteeCurveSet::tabulate_with(
-                &ivr,
-                tdp_axis,
-                ar_axis,
-                client_soc,
-                Some(memo),
-            )?,
-            ldo_tables: EteeCurveSet::tabulate_with(
-                &ldo,
-                tdp_axis,
-                ar_axis,
-                client_soc,
-                Some(memo),
-            )?,
+            ivr_tables: EteeCurveSet::tabulate_with(&ivr, tdp_axis, ar_axis, client_soc, memo)?,
+            ldo_tables: EteeCurveSet::tabulate_with(&ldo, tdp_axis, ar_axis, client_soc, memo)?,
             hysteresis: 0.004,
             evaluation_interval: Self::DEFAULT_INTERVAL,
         })
@@ -129,13 +118,14 @@ impl ModePredictor {
     }
 
     /// Sets the evaluation interval.
-    pub fn with_evaluation_interval(mut self, interval: Seconds) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_evaluation_interval(mut self, interval: Seconds) -> Self {
         self.evaluation_interval = interval;
         self
     }
 
     /// The evaluation interval.
-    pub fn evaluation_interval(&self) -> Seconds {
+    pub(crate) fn evaluation_interval(&self) -> Seconds {
         self.evaluation_interval
     }
 
@@ -168,7 +158,7 @@ impl ModePredictor {
     }
 
     /// Predicted ETEE of one mode for the given inputs.
-    pub fn predicted_etee(&self, mode: PdnMode, inputs: PredictorInputs) -> Efficiency {
+    pub(crate) fn predicted_etee(&self, mode: PdnMode, inputs: PredictorInputs) -> Efficiency {
         let tables = match mode {
             PdnMode::IvrMode => &self.ivr_tables,
             PdnMode::LdoMode => &self.ldo_tables,
@@ -194,7 +184,11 @@ impl ModePredictor {
     /// Algorithm 1 with hysteresis: only leaves `current` when the other
     /// mode's predicted advantage exceeds the margin (mode switches cost
     /// ≈ 94 µs of idleness, §6).
-    pub fn predict_with_hysteresis(&self, inputs: PredictorInputs, current: PdnMode) -> PdnMode {
+    pub(crate) fn predict_with_hysteresis(
+        &self,
+        inputs: PredictorInputs,
+        current: PdnMode,
+    ) -> PdnMode {
         let ivr = self.predicted_etee(PdnMode::IvrMode, inputs).get();
         let ldo = self.predicted_etee(PdnMode::LdoMode, inputs).get();
         let (current_etee, other, other_etee) = match current {

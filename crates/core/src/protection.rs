@@ -20,10 +20,10 @@ use pdnspot::PdnError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxCurrentProtection {
     /// The `V_IN` rail's electrical design current.
-    pub vin_iccmax: Amps,
+    pub(crate) vin_iccmax: Amps,
     /// Protection threshold as a fraction of Iccmax: the PMU acts before
     /// the limit is reached (sensing latency, load transients).
-    pub threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 impl MaxCurrentProtection {
@@ -67,18 +67,21 @@ impl MaxCurrentProtection {
     /// Propagates rail-sizing errors and rejects degenerate sizings
     /// (non-finite or non-positive limits) that would produce a
     /// protection that can never trip.
-    pub fn from_rail_sizing(pdn: &FlexWattsPdn, soc: &pdn_proc::SocSpec) -> Result<Self, PdnError> {
+    pub(crate) fn from_rail_sizing(
+        pdn: &FlexWattsPdn,
+        soc: &pdn_proc::SocSpec,
+    ) -> Result<Self, PdnError> {
         let vin = pdn.vin_protection_limit(soc)? * 1.05;
         Self::new(vin, 0.95)
     }
 
     /// The current the protection allows before intervening.
-    pub fn trip_current(&self) -> Amps {
+    pub(crate) fn trip_current(&self) -> Amps {
         self.vin_iccmax * self.threshold
     }
 
     /// Whether a `V_IN` current would trip the protection.
-    pub fn would_trip(&self, vin_current: Amps) -> bool {
+    pub(crate) fn would_trip(&self, vin_current: Amps) -> bool {
         vin_current > self.trip_current()
     }
 
@@ -90,7 +93,7 @@ impl MaxCurrentProtection {
     ///
     /// Returns the (possibly overridden) mode and whether an override
     /// fired.
-    pub fn enforce(&self, decided: PdnMode, ldo_vin_current: Amps) -> (PdnMode, bool) {
+    pub(crate) fn enforce(&self, decided: PdnMode, ldo_vin_current: Amps) -> (PdnMode, bool) {
         if decided == PdnMode::LdoMode && self.would_trip(ldo_vin_current) {
             (PdnMode::IvrMode, true)
         } else {

@@ -37,9 +37,9 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint file magic: `"PDNC"`.
-pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"PDNC");
+pub(crate) const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"PDNC");
 /// Checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub(crate) const CHECKPOINT_VERSION: u16 = 1;
 
 /// Fixed-size part of a checkpoint payload (everything before the
 /// switch list).
@@ -114,38 +114,38 @@ impl std::error::Error for CheckpointDefect {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayCheckpoint {
     /// FNV-64 of the trace file's header bytes.
-    pub trace_fingerprint: u64,
+    pub(crate) trace_fingerprint: u64,
     /// FNV-64 of the runtime configuration (seed, initial mode,
     /// protection, evaluation cadence, TDP).
-    pub config_fingerprint: u64,
+    pub(crate) config_fingerprint: u64,
     /// Intervals fully replayed before this checkpoint.
-    pub intervals_done: u64,
+    pub(crate) intervals_done: u64,
     /// Activity-sensor samples drawn so far (the jitter-stream cursor).
-    pub sensor_samples: u64,
+    pub(crate) sensor_samples: u64,
     /// Current PDN mode.
-    pub mode: PdnMode,
+    pub(crate) mode: PdnMode,
     /// Energy ledger (joules).
-    pub energy: f64,
+    pub(crate) energy: f64,
     /// Oracle energy ledger (joules).
-    pub oracle_energy: f64,
+    pub(crate) oracle_energy: f64,
     /// Total simulated time.
-    pub total_time: Seconds,
+    pub(crate) total_time: Seconds,
     /// Time since the last predictor evaluation.
-    pub since_eval: Seconds,
+    pub(crate) since_eval: Seconds,
     /// Predictor evaluations performed.
-    pub evaluations: u64,
+    pub(crate) evaluations: u64,
     /// Predictor decisions matching the oracle.
-    pub correct_predictions: u64,
+    pub(crate) correct_predictions: u64,
     /// Maximum-current protection overrides fired.
-    pub protection_overrides: u64,
+    pub(crate) protection_overrides: u64,
     /// Time in each mode, in [`PdnMode::ALL`] order.
-    pub time_in_mode: [Seconds; 2],
+    pub(crate) time_in_mode: [Seconds; 2],
     /// C-state driver transition count.
-    pub driver_transitions: u64,
+    pub(crate) driver_transitions: u64,
     /// C-state driver cumulative transition time.
-    pub driver_transition_time: Seconds,
+    pub(crate) driver_transition_time: Seconds,
     /// Every executed mode switch so far.
-    pub switches: Vec<SwitchTransition>,
+    pub(crate) switches: Vec<SwitchTransition>,
 }
 
 fn mode_tag(mode: PdnMode) -> u8 {
@@ -209,7 +209,7 @@ impl ReplayCheckpoint {
     ///
     /// # Errors
     ///
-    /// A typed [`CheckpointDefect`] describing the first problem found.
+    /// A typed `CheckpointDefect` describing the first problem found.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointDefect> {
         if bytes.len() < FIXED_LEN + 4 {
             return Err(CheckpointDefect::Truncated);
@@ -298,7 +298,7 @@ impl ReplayCheckpoint {
     ///
     /// # Errors
     ///
-    /// A typed [`CheckpointDefect`]; callers treat any of them as a
+    /// A typed `CheckpointDefect`; callers treat any of them as a
     /// cold start.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointDefect> {
         let mut bytes = Vec::new();
@@ -313,7 +313,7 @@ impl ReplayCheckpoint {
 /// sensor seed, boot mode, protection flag, evaluation cadence, and the
 /// SoC's TDP. Two runtimes with equal fingerprints replay a trace
 /// identically, so a checkpoint from one resumes on the other.
-pub fn runtime_fingerprint(rt: &FlexWattsRuntime) -> u64 {
+pub(crate) fn runtime_fingerprint(rt: &FlexWattsRuntime) -> u64 {
     let mut h = Fnv1a::new();
     h.u64(rt.config.sensor_seed);
     h.u8(mode_tag(rt.config.initial_mode));
@@ -362,7 +362,7 @@ impl<'rt> TraceReplayer<'rt> {
     ///
     /// [`CheckpointDefect::Mismatch`] when the checkpoint was taken
     /// under a different runtime configuration.
-    pub fn resume(
+    pub(crate) fn resume(
         rt: &'rt FlexWattsRuntime,
         workers: Workers,
         checkpoint: &ReplayCheckpoint,
@@ -400,7 +400,7 @@ impl<'rt> TraceReplayer<'rt> {
     }
 
     /// Replays a batch: the pure preparation runs row-batched on the
-    /// worker pool ([`FlexWattsRuntime::prepare_batch`]), then the
+    /// worker pool (`FlexWattsRuntime::prepare_batch`), then the
     /// stateful pass runs serially in order.
     ///
     /// # Errors
@@ -543,8 +543,6 @@ pub struct FileReplayReport {
     /// The runtime report (bitwise equal to an in-memory
     /// [`FlexWattsRuntime::run`] of the same intervals).
     pub report: RuntimeReport,
-    /// The trace name from the file header.
-    pub trace_name: String,
     /// Per-kind defect counts encountered by the reader.
     pub defects: DefectCounts,
     /// Intervals decoded and replayed.
@@ -556,8 +554,6 @@ pub struct FileReplayReport {
     /// `Some(n)` when the replay resumed from a checkpoint taken after
     /// `n` intervals.
     pub resumed_from: Option<u64>,
-    /// Checkpoints written during this replay.
-    pub checkpoints_written: u64,
 }
 
 /// Streams a trace file through the runtime with bounded memory,
@@ -571,9 +567,9 @@ pub struct FileReplayReport {
 ///
 /// # Errors
 ///
-/// [`ReplayError::Trace`] on I/O or (strict policy) decode defects,
-/// [`ReplayError::Pdn`] on evaluation failures, and
-/// [`ReplayError::Checkpoint`] when a checkpoint cannot be saved.
+/// `ReplayError::Trace` on I/O or (strict policy) decode defects,
+/// `ReplayError::Pdn` on evaluation failures, and
+/// `ReplayError::Checkpoint` when a checkpoint cannot be saved.
 pub fn replay_trace_file(
     rt: &FlexWattsRuntime,
     path: impl AsRef<Path>,
@@ -606,7 +602,6 @@ pub fn replay_trace_file(
 
     let batch_size = options.batch_intervals.max(1);
     let mut batch = Vec::with_capacity(batch_size);
-    let mut checkpoints_written = 0u64;
     let mut last_checkpoint = resumed_from.unwrap_or(0);
     loop {
         batch.clear();
@@ -629,7 +624,6 @@ pub fn replay_trace_file(
                     .save(&plan.path)
                     .map_err(ReplayError::Checkpoint)?;
                 last_checkpoint = replayer.intervals_done();
-                checkpoints_written += 1;
             }
         }
     }
@@ -637,13 +631,11 @@ pub fn replay_trace_file(
     let intervals_replayed = reader.intervals_emitted();
     Ok(FileReplayReport {
         report: replayer.finish(),
-        trace_name: reader.header().name.clone(),
         defects: *reader.defects(),
         intervals_replayed,
         intervals_lost: reader.intervals_lost(),
         chunks_quarantined: reader.chunks_quarantined(),
         resumed_from,
-        checkpoints_written,
     })
 }
 

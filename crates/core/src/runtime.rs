@@ -324,7 +324,7 @@ impl FlexWattsRuntime {
     ///
     /// Scenario construction and the two per-interval mode evaluations
     /// are pure, so they run row-batched in parallel tiles
-    /// ([`prepare_batch`](Self::prepare_batch)); the stateful pass —
+    /// (`prepare_batch`); the stateful pass —
     /// activity-sensor estimates (an ordered jitter stream), predictor
     /// hysteresis, and mode-switch accounting — then replays serially
     /// in trace order, which keeps the report bit-identical for any

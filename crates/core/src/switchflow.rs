@@ -46,9 +46,9 @@ impl SwitchTransition {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModeSwitchFlow {
     /// Off-chip VR slew rate (§6 cites 50 mV/µs).
-    pub offchip_slew_v_per_us: f64,
+    pub(crate) offchip_slew_v_per_us: f64,
     /// On-chip hybrid-VR reconfiguration latency (§6: ≤ 2 µs).
-    pub onchip_latency: Seconds,
+    pub(crate) onchip_latency: Seconds,
 }
 
 impl Default for ModeSwitchFlow {
@@ -66,7 +66,7 @@ impl ModeSwitchFlow {
     /// The VR adjustment latency for a `V_IN` change from `v_from` to
     /// `v_to`: the off-chip slew dominates, with the on-chip flip hidden
     /// underneath it.
-    pub fn vr_adjust_latency(&self, v_from: Volts, v_to: Volts) -> Seconds {
+    pub(crate) fn vr_adjust_latency(&self, v_from: Volts, v_to: Volts) -> Seconds {
         let slew_us = (v_to - v_from).abs().get() / self.offchip_slew_v_per_us;
         Seconds::from_micros(slew_us).max(self.onchip_latency)
     }
@@ -78,7 +78,7 @@ impl ModeSwitchFlow {
     ///
     /// Returns the transition breakdown; `driver` ends in the active
     /// state.
-    pub fn execute(
+    pub(crate) fn execute(
         &self,
         from: PdnMode,
         to: PdnMode,
@@ -99,7 +99,7 @@ impl ModeSwitchFlow {
     /// The watchdog budget the PMU grants one VR-reconfiguration step
     /// before declaring the attempt failed: twice the planned slew time
     /// (the slew-rate spec plus an equal margin for settling).
-    pub fn attempt_timeout(&self, v_from: Volts, v_to: Volts) -> Seconds {
+    pub(crate) fn attempt_timeout(&self, v_from: Volts, v_to: Volts) -> Seconds {
         self.vr_adjust_latency(v_from, v_to) * 2.0
     }
 
@@ -112,7 +112,7 @@ impl ModeSwitchFlow {
     /// The voltage-noise-free property survives the failure: the compute
     /// domains stay parked in C6 for the whole abort path, so neither the
     /// failed slew nor the roll-back injects noise.
-    pub fn execute_aborted(
+    pub(crate) fn execute_aborted(
         &self,
         v_from: Volts,
         v_to: Volts,

@@ -3,7 +3,7 @@
 //! FlexWatts modifies the baseline IVR PDN in two ways (§6): the SA and IO
 //! domains move from on-die IVRs to dedicated off-chip VRs (they have low,
 //! narrow power ranges, so one conversion stage is strictly better), and
-//! the remaining four IVRs become [`crate::hybrid::HybridVr`]s that can
+//! the remaining four IVRs become hybrid regulators that can
 //! operate the whole compute group in either **IVR-Mode** or **LDO-Mode**.
 //! Both modes share the same off-chip `V_IN` VR and the same routing, so
 //! the load-line impedance is slightly higher than either pure PDN
@@ -121,7 +121,7 @@ impl FlexWattsPdn {
     /// # Errors
     ///
     /// Propagates evaluation errors from the active mode's flow.
-    pub fn evaluate_with(
+    pub(crate) fn evaluate_with(
         &self,
         scenario: &Scenario,
         stager: &impl Stager,
@@ -266,7 +266,7 @@ impl Pdn for FlexWattsPdn {
     /// the same physical rail delivers more *output* amps at its much
     /// lower output voltage — the buck's duty-cycle headroom means the
     /// switch/input-side rating is unchanged — up to the limit returned by
-    /// [`FlexWattsPdn::vin_protection_limit`], beyond which the PMU's
+    /// `FlexWattsPdn::vin_protection_limit`, beyond which the PMU's
     /// maximum-current protection forces IVR-Mode.
     fn offchip_rails(&self, soc: &pdn_proc::SocSpec) -> Result<Vec<OffchipRail>, PdnError> {
         let mut merged: std::collections::BTreeMap<String, OffchipRail> =
@@ -309,7 +309,7 @@ impl FlexWattsPdn {
     /// # Errors
     ///
     /// Propagates evaluation errors from the sizing scenarios.
-    pub fn vin_protection_limit(&self, soc: &pdn_proc::SocSpec) -> Result<Amps, PdnError> {
+    pub(crate) fn vin_protection_limit(&self, soc: &pdn_proc::SocSpec) -> Result<Amps, PdnError> {
         let sizing_soc;
         let soc_ref = if soc.tdp.get() > MODE_CROSSOVER_TDP {
             sizing_soc = pdn_proc::client_soc(Watts::new(MODE_CROSSOVER_TDP));
@@ -334,7 +334,7 @@ impl FlexWattsPdn {
 /// The TDP around which the predictor's preferred mode flips for SPEC-like
 /// workloads (§7.1: below 18 W FlexWatts mainly runs LDO-Mode, above it
 /// IVR-Mode).
-pub const MODE_CROSSOVER_TDP: f64 = 18.0;
+pub(crate) const MODE_CROSSOVER_TDP: f64 = 18.0;
 
 /// FlexWatts with the steady-state mode choice applied: every evaluation
 /// runs both modes and reports the better one — the behaviour a converged

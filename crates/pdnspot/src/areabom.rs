@@ -19,32 +19,32 @@ use pdn_units::{SquareMillimeters, Usd, Watts};
 
 /// TDP at or below which the platform uses a PMIC instead of discrete
 /// VRMs (§3.2).
-pub const PMIC_TDP_LIMIT: Watts = Watts::new(18.0);
+pub(crate) const PMIC_TDP_LIMIT: Watts = Watts::new(18.0);
 
 /// The Iccmax→(area, cost) catalogue, standing in for the TI vendor data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VrCatalog {
     /// Fixed board area per discrete rail (controller, layout keep-out).
-    pub area_base_mm2: f64,
+    pub(crate) area_base_mm2: f64,
     /// Area scaling coefficient (mm² per A^`area_exp`).
-    pub area_coeff: f64,
+    pub(crate) area_coeff: f64,
     /// Area superlinearity: high-current rails need disproportionately
     /// large inductors and capacitor banks.
-    pub area_exp: f64,
+    pub(crate) area_exp: f64,
     /// Fixed cost per discrete rail.
-    pub cost_base_usd: f64,
+    pub(crate) cost_base_usd: f64,
     /// Cost scaling coefficient ($ per A^`cost_exp`).
-    pub cost_coeff: f64,
+    pub(crate) cost_coeff: f64,
     /// Cost superlinearity.
-    pub cost_exp: f64,
+    pub(crate) cost_exp: f64,
     /// Area factor a PMIC applies to the summed discrete equivalents.
-    pub pmic_area_factor: f64,
+    pub(crate) pmic_area_factor: f64,
     /// Fixed PMIC area (package + passives).
-    pub pmic_area_base_mm2: f64,
+    pub(crate) pmic_area_base_mm2: f64,
     /// Cost factor a PMIC applies to the summed discrete equivalents.
-    pub pmic_cost_factor: f64,
+    pub(crate) pmic_cost_factor: f64,
     /// Fixed PMIC cost.
-    pub pmic_cost_base_usd: f64,
+    pub(crate) pmic_cost_base_usd: f64,
 }
 
 impl VrCatalog {
@@ -65,14 +65,14 @@ impl VrCatalog {
     }
 
     /// Board area of one discrete rail sized for `rail.iccmax`.
-    pub fn rail_area(&self, rail: &OffchipRail) -> SquareMillimeters {
+    pub(crate) fn rail_area(&self, rail: &OffchipRail) -> SquareMillimeters {
         SquareMillimeters::new(
             self.area_base_mm2 + self.area_coeff * rail.iccmax.get().powf(self.area_exp),
         )
     }
 
     /// Cost of one discrete rail sized for `rail.iccmax`.
-    pub fn rail_cost(&self, rail: &OffchipRail) -> Usd {
+    pub(crate) fn rail_cost(&self, rail: &OffchipRail) -> Usd {
         Usd::new(self.cost_base_usd + self.cost_coeff * rail.iccmax.get().powf(self.cost_exp))
     }
 }

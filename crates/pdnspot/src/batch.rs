@@ -8,7 +8,7 @@
 //! evaluation of a finished scenario is cheap. This module exploits both
 //! facts:
 //!
-//! * a shared [scenario cache](ScenarioCache) guarantees each lattice
+//! * a shared scenario cache guarantees each lattice
 //!   **row** — one varying innermost axis, every other coordinate fixed —
 //!   is built **exactly once** no matter how many PDNs or threads consume
 //!   it, with the row-invariant front half (bisection solve, virus
@@ -33,8 +33,8 @@
 //!
 //! For a fixed grid, PDN set, and provider, [`evaluate`] returns the
 //! same [`BatchOutcome::evaluations`] (same order, same floating-point
-//! bits) for every [`Workers`] and chunk-size choice in the
-//! [`EngineConfig`]. Scheduling only changes *which thread* computes a
+//! bits) for every [`Workers`] choice in the [`EngineConfig`].
+//! Scheduling only changes *which thread* computes a
 //! task, never the arithmetic: tasks share no mutable state besides the
 //! write-once scenario cache, and results are merged by task index.
 //! Only [`BatchStats`] (timings, worker count) varies between runs.
@@ -216,7 +216,7 @@ impl SweepGrid {
     }
 
     /// Number of points in the active sub-lattice.
-    pub fn n_active(&self) -> usize {
+    pub(crate) fn n_active(&self) -> usize {
         self.tdps.len() * self.workload_types.len() * self.ars.len()
     }
 
@@ -240,7 +240,7 @@ impl SweepGrid {
     /// # Panics
     ///
     /// Panics if `idx >= self.n_points()`.
-    pub fn point_at(&self, idx: usize) -> LatticePoint {
+    pub(crate) fn point_at(&self, idx: usize) -> LatticePoint {
         assert!(idx < self.n_points(), "lattice index {idx} out of range");
         let n_active = self.n_active();
         if idx < n_active {
@@ -262,7 +262,7 @@ impl SweepGrid {
 
     /// Human-readable coordinates of a point (used in
     /// [`PdnError::Lattice`]).
-    pub fn describe(&self, point: LatticePoint) -> String {
+    pub(crate) fn describe(&self, point: LatticePoint) -> String {
         match point {
             LatticePoint::Active { tdp_idx, wl_idx, ar_idx } => format!(
                 "tdp={}W wl={} ar={:.2}",
@@ -276,7 +276,7 @@ impl SweepGrid {
 
     /// Number of active rows (TDP × workload type, each spanning the AR
     /// axis). Zero when the active sub-lattice is empty.
-    pub fn n_active_rows(&self) -> usize {
+    pub(crate) fn n_active_rows(&self) -> usize {
         if self.n_active() == 0 {
             0
         } else {
@@ -286,7 +286,7 @@ impl SweepGrid {
 
     /// Number of idle rows (one per TDP, each spanning the power-state
     /// axis). Zero when the idle sub-lattice is empty.
-    pub fn n_idle_rows(&self) -> usize {
+    pub(crate) fn n_idle_rows(&self) -> usize {
         if self.idle_states.is_empty() {
             0
         } else {
@@ -297,7 +297,7 @@ impl SweepGrid {
     /// Total number of lattice rows. Every point belongs to exactly one
     /// row, and walking the rows in index order visits the points in
     /// their canonical [`SweepGrid::points`] order.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_active_rows() + self.n_idle_rows()
     }
 
@@ -307,7 +307,7 @@ impl SweepGrid {
     /// # Panics
     ///
     /// Panics if `idx >= self.n_rows()`.
-    pub fn row_at(&self, idx: usize) -> LatticeRow {
+    pub(crate) fn row_at(&self, idx: usize) -> LatticeRow {
         assert!(idx < self.n_rows(), "lattice row index {idx} out of range");
         let n_active_rows = self.n_active_rows();
         if idx < n_active_rows {
@@ -323,7 +323,7 @@ impl SweepGrid {
     /// The contiguous range of [`SweepGrid::points`] indices a row
     /// covers: active rows span the AR axis, idle rows the power-state
     /// axis.
-    pub fn row_span(&self, row: LatticeRow) -> std::ops::Range<usize> {
+    pub(crate) fn row_span(&self, row: LatticeRow) -> std::ops::Range<usize> {
         match row {
             LatticeRow::Active { tdp_idx, wl_idx } => {
                 let start = (tdp_idx * self.workload_types.len() + wl_idx) * self.ars.len();
@@ -338,7 +338,7 @@ impl SweepGrid {
 
     /// Human-readable coordinates of a row (the varying axis shown as
     /// `*`), used in [`PdnError::Lattice`] for row-level build failures.
-    pub fn describe_row(&self, row: LatticeRow) -> String {
+    pub(crate) fn describe_row(&self, row: LatticeRow) -> String {
         match row {
             LatticeRow::Active { tdp_idx, wl_idx } => {
                 format!("tdp={}W wl={} ar=*", self.tdps[tdp_idx], self.workload_types[wl_idx])
@@ -348,7 +348,7 @@ impl SweepGrid {
     }
 
     /// The position of `point` in the [`SweepGrid::points`] order — the
-    /// inverse of [`SweepGrid::point_at`].
+    /// inverse of `SweepGrid::point_at`.
     ///
     /// # Panics
     ///
@@ -426,15 +426,6 @@ pub struct GridDelta {
 }
 
 impl GridDelta {
-    /// Whether the delta is empty (the grids were identical; nothing to
-    /// re-evaluate).
-    pub fn is_empty(&self) -> bool {
-        self.tdps.is_empty()
-            && self.workload_types.is_empty()
-            && self.ars.is_empty()
-            && self.idle_states.is_empty()
-    }
-
     /// Whether `point` is dirty under this delta.
     pub fn contains(&self, point: LatticePoint) -> bool {
         match point {
@@ -499,7 +490,7 @@ impl LatticePoint {
 /// except the innermost one (AR for active rows, power state for idle
 /// rows), which the row kernel sweeps in one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatticeRow {
+pub(crate) enum LatticeRow {
     /// An active row: one (TDP, workload type) pair across the AR axis.
     Active {
         /// Index into [`SweepGrid::tdps`].
@@ -516,7 +507,7 @@ pub enum LatticeRow {
 
 impl LatticeRow {
     /// The TDP-axis index of the row.
-    pub fn tdp_idx(self) -> usize {
+    pub(crate) fn tdp_idx(self) -> usize {
         match self {
             LatticeRow::Active { tdp_idx, .. } | LatticeRow::Idle { tdp_idx } => tdp_idx,
         }
@@ -649,7 +640,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_run_indexed(items.len(), workers, None, |i| f(i, &items[i]))
+    par_map_run_indexed(items.len(), workers, |i| f(i, &items[i]))
 }
 
 /// The index-driven scheduling core: applies `f` to every index in
@@ -670,12 +661,7 @@ where
 /// merge restores lattice order — results are bit-identical for every
 /// worker count. Telemetry keeps one slot per worker id; an id that
 /// never ran reports zero.
-fn par_map_run_indexed<R, F>(
-    n: usize,
-    workers: Workers,
-    chunk_override: Option<usize>,
-    f: F,
-) -> ParMapRun<R>
+fn par_map_run_indexed<R, F>(n: usize, workers: Workers, f: F) -> ParMapRun<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -705,9 +691,8 @@ where
     }
     // Chunked claiming amortises the atomic over several items while
     // keeping the range tails small enough to steal. Chunk size affects
-    // only claim granularity, never values (the determinism contract),
-    // so an override is safe to expose as a tuning knob.
-    let chunk = chunk_override.map_or_else(|| (base / 8).clamp(1, 16), |c| c.max(1));
+    // only claim granularity, never values (the determinism contract).
+    let chunk = (base / 8).clamp(1, 16);
 
     let slots: Vec<Mutex<Option<WorkerRun<R>>>> =
         (0..n_workers).map(|_| Mutex::new(None)).collect();
@@ -899,7 +884,7 @@ impl<'g, P: SocProvider + ?Sized> ScenarioCache<'g, P> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchStats {
     /// Lattice points in the grid.
-    pub points: usize,
+    pub(crate) points: usize,
     /// `pdn × point` evaluations performed.
     pub evaluations: usize,
     /// Evaluations that ended in a captured per-point error.
@@ -919,10 +904,10 @@ pub struct BatchStats {
     pub workers: usize,
     /// Items each worker claimed from another worker's range (work
     /// stealing; all zero on serial runs and balanced workloads).
-    pub worker_stolen: Vec<usize>,
+    pub(crate) worker_stolen: Vec<usize>,
     /// Steal sweeps in which a worker found every other range already
     /// drained (it went idle instead of stealing).
-    pub worker_idle_probes: Vec<usize>,
+    pub(crate) worker_idle_probes: Vec<usize>,
     /// Wall time each worker spent inside the run.
     pub worker_wall: Vec<Duration>,
     /// End-to-end wall time of the run.
@@ -931,7 +916,7 @@ pub struct BatchStats {
 
 impl BatchStats {
     /// Fraction of scenario lookups served from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
+    pub(crate) fn cache_hit_rate(&self) -> f64 {
         if self.scenario_lookups == 0 {
             return 0.0;
         }
@@ -949,7 +934,7 @@ impl BatchStats {
     }
 
     /// The busiest worker's wall time.
-    pub fn max_worker_wall(&self) -> Duration {
+    pub(crate) fn max_worker_wall(&self) -> Duration {
         self.worker_wall.iter().copied().max().unwrap_or_default()
     }
 
@@ -1088,12 +1073,11 @@ pub(crate) fn config_for(workers: Workers) -> EngineConfig {
 /// corresponding [`PointEvaluation::result`] with their lattice
 /// coordinates; the rest of the campaign always completes. The
 /// evaluations come back PDN-major in [`SweepGrid::points`] order — the
-/// same values and order for every [`EngineConfig::workers`] and
-/// [`EngineConfig::chunk_size`] choice (see the module-level determinism
-/// contract).
+/// same values and order for every [`EngineConfig::workers`] choice (see
+/// the module-level determinism contract).
 ///
 /// When `memo` is `Some`, every row goes through
-/// [`MemoCache::evaluate_row`]: a row whose every
+/// `MemoCache::evaluate_row`: a row whose every
 /// `(PDN fingerprint, scenario fingerprint)` pair is cached — within
 /// this run or across earlier calls sharing the cache — returns the
 /// stored results without touching the kernel. Memoization never changes
@@ -1117,7 +1101,7 @@ pub fn evaluate(
     let cache = ScenarioCache::new(grid, provider, memo.is_some());
     let memo_before = memo.map(MemoCache::stats);
 
-    let run = par_map_run_indexed(n_tasks, config.workers(), config.chunk_size(), |task_idx| {
+    let run = par_map_run_indexed(n_tasks, config.workers(), |task_idx| {
         let pdn_idx = task_idx / n_rows;
         let row_idx = task_idx % n_rows;
         let row = grid.row_at(row_idx);
@@ -1130,9 +1114,7 @@ pub fn evaluate(
                 // state leaks between rows.
                 let stage = RowStage::new();
                 let results = match memo {
-                    Some(m) => {
-                        m.evaluate_row_fingerprinted(pdn, &row.scenarios, &row.fingerprints, &stage)
-                    }
+                    Some(m) => m.evaluate_row(pdn, &row.scenarios, &row.fingerprints, &stage),
                     None => pdn.evaluate_row(&row.scenarios, &stage),
                 };
                 results
@@ -1213,11 +1195,6 @@ impl DeltaOutcome {
     /// The dirty evaluations of one PDN, in full-grid lattice order.
     pub fn for_pdn(&self, pdn_idx: usize) -> &[PointEvaluation] {
         &self.evaluations[pdn_idx * self.n_dirty..(pdn_idx + 1) * self.n_dirty]
-    }
-
-    /// Number of dirty points per PDN.
-    pub fn n_dirty(&self) -> usize {
-        self.n_dirty
     }
 
     /// The first captured error, if any dirty point failed.
@@ -1380,7 +1357,7 @@ pub fn build_scenarios(
     let n_points = grid.n_points();
     let n_rows = grid.n_rows();
     let cache = ScenarioCache::new(grid, provider, false);
-    let run = par_map_run_indexed(n_rows, workers, None, |row_idx| {
+    let run = par_map_run_indexed(n_rows, workers, |row_idx| {
         cache.row(row_idx, grid.row_at(row_idx)).is_ok()
     });
     let builds = cache.builds.load(Ordering::Relaxed);
@@ -1587,12 +1564,6 @@ mod tests {
         assert_eq!(serial.evaluations, parallel.evaluations);
         assert_eq!(serial.stats.workers, 1);
         assert_eq!(parallel.stats.workers, 4.min(serial.stats.evaluations));
-        // An explicit chunk size changes claim granularity only, never
-        // values (the EngineConfig determinism contract).
-        let chunked =
-            EngineConfig::builder().workers(Workers::Fixed(4)).chunk_size(1).build().unwrap();
-        let chunky = evaluate(&pdns, &grid, &ClientSoc, &chunked, None);
-        assert_eq!(serial.evaluations, chunky.evaluations);
     }
 
     #[test]
@@ -1688,14 +1659,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(*scenarios[0].as_ref().unwrap(), direct);
-        assert!(scenarios[8].as_ref().unwrap().is_idle());
+        assert!(scenarios[8].as_ref().unwrap().power_state.is_some());
     }
 
     #[test]
     fn diff_marks_exactly_the_changed_indices() {
         let old = small_grid();
         let mut new = old.clone();
-        assert!(new.diff(&old).is_empty(), "identical grids produce an empty delta");
+        assert_eq!(
+            new.diff(&old).n_dirty_points(&new),
+            0,
+            "identical grids produce an empty delta"
+        );
         new.tdps[1] = 19.0;
         new.ars[0] = 0.41;
         let delta = new.diff(&old);
@@ -1747,8 +1722,8 @@ mod tests {
         let partial =
             evaluate_delta(&pdns, &new, &delta, &ClientSoc, &config_for(Workers::Fixed(3)), None);
         assert_eq!(partial.stats.failed, 0);
-        assert_eq!(partial.n_dirty(), delta.n_dirty_points(&new));
-        assert_eq!(partial.evaluations.len(), 2 * partial.n_dirty());
+        assert_eq!(partial.for_pdn(1).len(), delta.n_dirty_points(&new));
+        assert_eq!(partial.evaluations.len(), 2 * delta.n_dirty_points(&new));
         for eval in &partial.evaluations {
             assert!(delta.contains(eval.point), "only dirty points re-evaluate");
             let full_eval = &full.for_pdn(eval.pdn_idx)[new.point_index(eval.point)];
@@ -1780,7 +1755,7 @@ mod tests {
         let outcome =
             evaluate_delta(&pdns, &grid, &delta, &ClientSoc, &config_for(Workers::Serial), None);
         assert!(outcome.evaluations.is_empty());
-        assert_eq!(outcome.n_dirty(), 0);
+        assert!(outcome.for_pdn(0).is_empty());
         assert_eq!(outcome.stats.evaluations, 0);
         assert!(outcome.first_error().is_none());
     }

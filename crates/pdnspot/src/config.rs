@@ -2,9 +2,10 @@
 //!
 //! Before this module, the engine's knobs were free-floating parameters
 //! scattered across call sites: a [`Workers`] argument here, a memo
-//! capacity there, a hard-coded chunk heuristic inside the scheduler,
-//! and (with `pdn-serve`) an admission-queue depth that had nowhere to
-//! live at all. [`EngineConfig`] consolidates them behind one
+//! capacity there, and (with `pdn-serve`) an admission-queue depth that
+//! had nowhere to live at all. [`EngineConfig`] consolidates them — the
+//! worker pool, memo shards and capacity, admission depth, queue-age
+//! shedding, and the per-connection write buffer and deadline — behind one
 //! builder-style API with a validated [`build`](EngineConfigBuilder::build):
 //! every consumer — the unified [`crate::batch::evaluate`] entry point,
 //! the sweep helpers, and the serve daemon — reads the same struct, and
@@ -28,19 +29,19 @@ use crate::memo::{MemoCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};
 
 /// Default bound on the serve daemon's admission queue
 /// ([`EngineConfig::admission_depth`]).
-pub const DEFAULT_ADMISSION_DEPTH: usize = 1024;
+pub(crate) const DEFAULT_ADMISSION_DEPTH: usize = 1024;
 
 /// Default queue-age shedding threshold in milliseconds
 /// ([`EngineConfig::shed_age_ms`]).
-pub const DEFAULT_SHED_AGE_MS: u64 = 2_000;
+pub(crate) const DEFAULT_SHED_AGE_MS: u64 = 2_000;
 
 /// Default per-connection response buffer, in responses
 /// ([`EngineConfig::write_buffer`]).
-pub const DEFAULT_WRITE_BUFFER: usize = 128;
+pub(crate) const DEFAULT_WRITE_BUFFER: usize = 128;
 
 /// Default per-connection write deadline in milliseconds
 /// ([`EngineConfig::write_timeout_ms`]).
-pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 2_000;
+pub(crate) const DEFAULT_WRITE_TIMEOUT_MS: u64 = 2_000;
 
 /// Validated engine configuration (see the module docs).
 ///
@@ -51,12 +52,10 @@ pub const DEFAULT_WRITE_TIMEOUT_MS: u64 = 2_000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     workers: Workers,
-    chunk_size: Option<usize>,
     memo_shards: usize,
     memo_capacity: usize,
     admission_depth: usize,
     shed_age_ms: u64,
-    tenant_quota: usize,
     write_buffer: usize,
     write_timeout_ms: u64,
 }
@@ -72,30 +71,22 @@ impl EngineConfig {
         self.workers
     }
 
-    /// Scheduler chunk-claim size override; `None` (the default) keeps
-    /// the built-in heuristic. The chunk size never affects reported
-    /// values (the determinism contract of [`crate::batch`]), only how
-    /// many items a worker claims per atomic operation.
-    pub fn chunk_size(&self) -> Option<usize> {
-        self.chunk_size
-    }
-
     /// Lock-stripe count of memo caches built from this config (default
-    /// [`DEFAULT_SHARDS`]).
+    /// 16).
     pub fn memo_shards(&self) -> usize {
         self.memo_shards
     }
 
     /// Total entry budget of memo caches built from this config —
     /// doubling as the per-tenant eviction budget in `pdn-serve`
-    /// (default [`DEFAULT_CAPACITY`]).
+    /// (default 8192).
     pub fn memo_capacity(&self) -> usize {
         self.memo_capacity
     }
 
     /// Bound on the serve daemon's admission queue; requests beyond it
     /// are shed with an `Overloaded` error (default
-    /// [`DEFAULT_ADMISSION_DEPTH`]).
+    /// 1024).
     pub fn admission_depth(&self) -> usize {
         self.admission_depth
     }
@@ -105,42 +96,30 @@ impl EngineConfig {
     /// any admitted request that waited longer than this before being
     /// dispatched, instead of burning capacity on work the client has
     /// likely given up on. `0` disables age shedding (default
-    /// [`DEFAULT_SHED_AGE_MS`]).
+    /// 2000).
     pub fn shed_age_ms(&self) -> u64 {
         self.shed_age_ms
     }
 
-    /// Per-tenant admission budget: the most requests one tenant may
-    /// hold in the admission queue at once. `0` (the default) derives
-    /// the budget from the depth — see
-    /// [`EngineConfig::tenant_quota_for`].
-    pub fn tenant_quota(&self) -> usize {
-        self.tenant_quota
-    }
-
-    /// The effective per-tenant admission budget for a queue of
-    /// `depth`: the configured [`EngineConfig::tenant_quota`], or
-    /// `max(1, depth / 4)` when unset — one noisy tenant can fill at
-    /// most a quarter of the queue before being shed, leaving room for
-    /// everyone else.
+    /// The per-tenant admission budget for a queue of `depth`, the most
+    /// requests one tenant may hold in the admission queue at once:
+    /// `max(1, depth / 4)` — one noisy tenant can fill at most a quarter
+    /// of the queue before being shed, leaving room for everyone else.
     pub fn tenant_quota_for(&self, depth: usize) -> usize {
-        match self.tenant_quota {
-            0 => (depth / 4).max(1),
-            quota => quota.min(depth),
-        }
+        (depth / 4).max(1)
     }
 
     /// Bound on one connection's buffered responses (the slow-client
     /// defense): the dispatcher never blocks on a stalled client —
     /// past this many undelivered responses the connection is evicted
-    /// (default [`DEFAULT_WRITE_BUFFER`]).
+    /// (default 128).
     pub fn write_buffer(&self) -> usize {
         self.write_buffer
     }
 
     /// Per-connection socket write deadline in milliseconds; a client
     /// that stalls a single frame write longer than this is evicted
-    /// (default [`DEFAULT_WRITE_TIMEOUT_MS`]).
+    /// (default 2000).
     pub fn write_timeout_ms(&self) -> u64 {
         self.write_timeout_ms
     }
@@ -162,12 +141,10 @@ impl Default for EngineConfig {
 #[derive(Debug, Clone)]
 pub struct EngineConfigBuilder {
     workers: Workers,
-    chunk_size: Option<usize>,
     memo_shards: usize,
     memo_capacity: usize,
     admission_depth: usize,
     shed_age_ms: u64,
-    tenant_quota: usize,
     write_buffer: usize,
     write_timeout_ms: u64,
 }
@@ -176,12 +153,10 @@ impl Default for EngineConfigBuilder {
     fn default() -> Self {
         Self {
             workers: Workers::Auto,
-            chunk_size: None,
             memo_shards: DEFAULT_SHARDS,
             memo_capacity: DEFAULT_CAPACITY,
             admission_depth: DEFAULT_ADMISSION_DEPTH,
             shed_age_ms: DEFAULT_SHED_AGE_MS,
-            tenant_quota: 0,
             write_buffer: DEFAULT_WRITE_BUFFER,
             write_timeout_ms: DEFAULT_WRITE_TIMEOUT_MS,
         }
@@ -192,12 +167,6 @@ impl EngineConfigBuilder {
     /// Sets the worker-pool sizing.
     pub fn workers(mut self, workers: Workers) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the scheduler's chunk-claim size (must be ≥ 1).
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk_size = Some(chunk);
         self
     }
 
@@ -226,12 +195,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the per-tenant admission budget (`0` = derive from depth).
-    pub fn tenant_quota(mut self, quota: usize) -> Self {
-        self.tenant_quota = quota;
-        self
-    }
-
     /// Sets the per-connection response buffer bound (must be ≥ 1).
     pub fn write_buffer(mut self, responses: usize) -> Self {
         self.write_buffer = responses;
@@ -250,16 +213,13 @@ impl EngineConfigBuilder {
     /// # Errors
     ///
     /// Returns [`PdnError::Scenario`] naming the offending knob when a
-    /// value is out of range (`Fixed(0)` workers, a zero chunk size,
-    /// zero memo shards or capacity, a zero admission depth).
+    /// value is out of range (`Fixed(0)` workers, zero memo shards or
+    /// capacity, a zero admission depth, write buffer or write timeout).
     pub fn build(self) -> Result<EngineConfig, PdnError> {
         if self.workers == Workers::Fixed(0) {
             return Err(PdnError::Scenario(
                 "EngineConfig: workers must be Fixed(n >= 1), Serial, or Auto".into(),
             ));
-        }
-        if self.chunk_size == Some(0) {
-            return Err(PdnError::Scenario("EngineConfig: chunk_size must be >= 1".into()));
         }
         if self.memo_shards == 0 {
             return Err(PdnError::Scenario("EngineConfig: memo_shards must be >= 1".into()));
@@ -278,12 +238,10 @@ impl EngineConfigBuilder {
         }
         Ok(EngineConfig {
             workers: self.workers,
-            chunk_size: self.chunk_size,
             memo_shards: self.memo_shards,
             memo_capacity: self.memo_capacity,
             admission_depth: self.admission_depth,
             shed_age_ms: self.shed_age_ms,
-            tenant_quota: self.tenant_quota,
             write_buffer: self.write_buffer,
             write_timeout_ms: self.write_timeout_ms,
         })
@@ -299,16 +257,13 @@ mod tests {
     fn defaults_build_and_expose_every_knob() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.workers(), Workers::Auto);
-        assert_eq!(cfg.chunk_size(), None);
         assert_eq!(cfg.memo_shards(), DEFAULT_SHARDS);
         assert_eq!(cfg.memo_capacity(), DEFAULT_CAPACITY);
         assert_eq!(cfg.admission_depth(), DEFAULT_ADMISSION_DEPTH);
         assert_eq!(cfg.shed_age_ms(), DEFAULT_SHED_AGE_MS);
-        assert_eq!(cfg.tenant_quota(), 0, "0 = derive from depth");
         assert_eq!(cfg.write_buffer(), DEFAULT_WRITE_BUFFER);
         assert_eq!(cfg.write_timeout_ms(), DEFAULT_WRITE_TIMEOUT_MS);
         let cache = cfg.memo_cache();
-        assert_eq!(cache.shard_count(), DEFAULT_SHARDS);
         assert_eq!(cache.capacity(), DEFAULT_CAPACITY);
     }
 
@@ -316,33 +271,27 @@ mod tests {
     fn builder_round_trips_every_knob() {
         let cfg = EngineConfig::builder()
             .workers(Workers::Fixed(3))
-            .chunk_size(4)
             .memo_shards(8)
             .memo_capacity(256)
             .admission_depth(32)
             .shed_age_ms(500)
-            .tenant_quota(7)
             .write_buffer(16)
             .write_timeout_ms(250)
             .build()
             .unwrap();
         assert_eq!(cfg.workers(), Workers::Fixed(3));
-        assert_eq!(cfg.chunk_size(), Some(4));
         assert_eq!(cfg.memo_shards(), 8);
         assert_eq!(cfg.memo_capacity(), 256);
         assert_eq!(cfg.admission_depth(), 32);
         assert_eq!(cfg.shed_age_ms(), 500);
-        assert_eq!(cfg.tenant_quota(), 7);
         assert_eq!(cfg.write_buffer(), 16);
         assert_eq!(cfg.write_timeout_ms(), 250);
-        assert_eq!(cfg.memo_cache().shard_count(), 8);
     }
 
     #[test]
     fn invalid_knobs_are_rejected_by_name() {
         let cases: Vec<(EngineConfigBuilder, &str)> = vec![
             (EngineConfig::builder().workers(Workers::Fixed(0)), "workers"),
-            (EngineConfig::builder().chunk_size(0), "chunk_size"),
             (EngineConfig::builder().memo_shards(0), "memo_shards"),
             (EngineConfig::builder().memo_capacity(0), "memo_capacity"),
             (EngineConfig::builder().admission_depth(0), "admission_depth"),
@@ -361,8 +310,5 @@ mod tests {
         let auto = EngineConfig::default();
         assert_eq!(auto.tenant_quota_for(1024), 256, "auto = depth / 4");
         assert_eq!(auto.tenant_quota_for(2), 1, "auto never reaches zero");
-        let fixed = EngineConfig::builder().tenant_quota(100).build().unwrap();
-        assert_eq!(fixed.tenant_quota_for(1024), 100);
-        assert_eq!(fixed.tenant_quota_for(8), 8, "quota is clamped to the depth");
     }
 }

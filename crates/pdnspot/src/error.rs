@@ -245,7 +245,7 @@ impl PdnError {
     /// Wraps this error in a reference-counted [`PdnError::Shared`] so
     /// subsequent clones are refcount bumps; already-shared errors are
     /// returned unchanged (no nesting).
-    pub fn into_shared(self) -> Self {
+    pub(crate) fn into_shared(self) -> Self {
         match self {
             PdnError::Shared(_) => self,
             other => PdnError::Shared(std::sync::Arc::new(other)),

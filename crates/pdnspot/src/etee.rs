@@ -32,16 +32,9 @@ pub struct StagedLoad {
     pub voltage: Volts,
 }
 
-/// Applies the Eq. 2 tolerance-band guardband to a domain load.
-pub fn guardband_stage(load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
-    let power =
-        guardband_power(load.nominal_power, load.leakage_fraction, load.voltage, tob, delta);
-    StagedLoad { power, voltage: load.voltage + tob }
-}
-
 /// Applies the power-gate drop: the gate's `R_PG·I` drop is compensated by
 /// raising the rail, costing Eq. 2 a second time (§3.1, MBVR model).
-pub fn power_gate_stage(
+pub(crate) fn power_gate_stage(
     staged: StagedLoad,
     load: &DomainLoad,
     r_pg: Ohms,
@@ -87,44 +80,6 @@ pub fn load_line_stage(
     LoadLineStep { v_ll, p_ll, extra: p_ll - power }
 }
 
-/// Load-line compensation for a rail that feeds a *domain* directly (MBVR
-/// groups, dedicated SA/IO rails).
-///
-/// The VR set point is sized for the rail's power virus `p_peak`
-/// (`V_LL = V + Ipeak·R_LL`, §2.4: the guardband must survive the maximum
-/// possible current), but at the actual current `I < Ipeak` the load sees
-/// the excess voltage `(Ipeak − I)·R_LL` and — per Eq. 2 — burns more
-/// dynamic and leakage power for it, on top of the genuine `I²·R_LL` wire
-/// dissipation. This is the §5 Observation 2 mechanism: a *higher* AR
-/// means the running current is closer to the virus current, so the
-/// excess voltage at the load shrinks and ETEE rises.
-pub fn load_line_domain_stage(
-    power: Watts,
-    voltage: Volts,
-    p_peak: Watts,
-    r_ll: Ohms,
-    leakage_fraction: pdn_units::Ratio,
-    delta: f64,
-) -> LoadLineStep {
-    if power.get() <= 0.0 {
-        return LoadLineStep { v_ll: voltage, p_ll: power, extra: Watts::ZERO };
-    }
-    let i_peak = p_peak.max(power) / voltage;
-    let v_ll = voltage + i_peak * r_ll;
-    // Fixed point: the load at the (excess) delivered voltage draws more
-    // power, which raises the current, which lowers the delivered voltage.
-    let mut current = power / voltage;
-    let mut p_load = power;
-    for _ in 0..4 {
-        let v_load = (v_ll - current * r_ll).max(voltage);
-        p_load = guardband_power(power, leakage_fraction, voltage, v_load - voltage, delta);
-        current = p_load / v_load;
-    }
-    let wire = current.squared_times(r_ll);
-    let p_ll = p_load + wire;
-    LoadLineStep { v_ll, p_ll, extra: p_ll - power }
-}
-
 /// One rail's inputs to [`load_line_domain_stages`].
 #[derive(Debug, Clone, Copy)]
 pub struct RailLoadLine {
@@ -142,14 +97,25 @@ pub struct RailLoadLine {
 
 /// Maximum number of rails [`load_line_domain_stages`] advances at once
 /// (the widest topology, MBVR, has four board rails).
-pub const MAX_RAIL_LANES: usize = 4;
+pub(crate) const MAX_RAIL_LANES: usize = 4;
 
-/// [`load_line_domain_stage`] for up to [`MAX_RAIL_LANES`] independent
-/// rails, advancing their fixed-point iterations in lockstep.
+/// Load-line compensation for up to four rails that feed *domains*
+/// directly (MBVR groups, dedicated SA/IO rails), advancing their
+/// fixed-point iterations in lockstep.
 ///
-/// Each lane performs exactly the operations of the scalar function in the
-/// same order, and lanes never interact, so every returned step is
-/// bit-identical to a scalar call on the same lane. The point of the
+/// Each VR set point is sized for the rail's power virus `p_peak`
+/// (`V_LL = V + Ipeak·R_LL`, §2.4: the guardband must survive the maximum
+/// possible current), but at the actual current `I < Ipeak` the load sees
+/// the excess voltage `(Ipeak − I)·R_LL` and — per Eq. 2 — burns more
+/// dynamic and leakage power for it, on top of the genuine `I²·R_LL` wire
+/// dissipation. This is the §5 Observation 2 mechanism: a *higher* AR
+/// means the running current is closer to the virus current, so the
+/// excess voltage at the load shrinks and ETEE rises.
+///
+/// Each lane performs exactly the operations of the scalar reference
+/// (`load_line_domain_stage` in this module's tests) in the same order,
+/// and lanes never interact, so every returned step is bit-identical to a
+/// scalar call on the same lane. The point of the
 /// lockstep is latency: the scalar fixed point is a serial
 /// `powf → divide → subtract` dependency chain, so four back-to-back
 /// scalar calls cost four chain latencies, while interleaving lets the
@@ -163,7 +129,7 @@ pub const MAX_RAIL_LANES: usize = 4;
 ///
 /// # Panics
 ///
-/// Panics if more than [`MAX_RAIL_LANES`] lanes are passed.
+/// Panics if more than four lanes are passed.
 pub fn load_line_domain_stages(lanes: &[RailLoadLine], delta: f64) -> [LoadLineStep; 4] {
     let n = lanes.len();
     assert!(n <= MAX_RAIL_LANES, "at most {MAX_RAIL_LANES} rail lanes, got {n}");
@@ -290,7 +256,7 @@ pub trait Stager {
         pdn_proc::guardband_factor(load.leakage_fraction, load.voltage, tob, delta)
     }
 
-    /// [`guardband_stage`] for one domain's load.
+    /// The Eq. 2 tolerance-band guardband for one domain's load.
     ///
     /// The default composes `P_NOM · factor` exactly as [`guardband_power`]
     /// does (`guardband_power(P, …) == P · guardband_factor(…)`, same ops,
@@ -303,7 +269,7 @@ pub trait Stager {
         }
     }
 
-    /// [`guardband_stage`] followed by [`power_gate_stage`] for one
+    /// [`Stager::guardband`] followed by the power-gate drop for one
     /// domain's load (the MBVR-style gated flow).
     fn gated(
         &self,
@@ -317,7 +283,7 @@ pub trait Stager {
     }
 
     /// The load-independent virus headroom of a rail serving `domains`
-    /// ([`Scenario::rail_virus_headroom`]).
+    /// (`Scenario::rail_virus_headroom`).
     fn virus_headroom(&self, scenario: &Scenario, domains: &[DomainKind]) -> Watts {
         scenario.rail_virus_headroom(domains)
     }
@@ -516,7 +482,7 @@ impl PdnEvaluation {
     }
 
     /// Total PDN loss (input − nominal).
-    pub fn total_loss(&self) -> Watts {
+    pub(crate) fn total_loss(&self) -> Watts {
         self.input_power - self.nominal_power
     }
 }
@@ -533,6 +499,54 @@ mod tests {
             leakage_fraction: Ratio::new(fl).unwrap(),
             powered: true,
         }
+    }
+
+    // Scalar reference stages: the row kernels above must reproduce them
+    // bit for bit.
+
+    /// Applies the Eq. 2 tolerance-band guardband to a domain load.
+    fn guardband_stage(load: &DomainLoad, tob: Volts, delta: f64) -> StagedLoad {
+        let power =
+            guardband_power(load.nominal_power, load.leakage_fraction, load.voltage, tob, delta);
+        StagedLoad { power, voltage: load.voltage + tob }
+    }
+
+    /// Load-line compensation for a rail that feeds a *domain* directly (MBVR
+    /// groups, dedicated SA/IO rails).
+    ///
+    /// The VR set point is sized for the rail's power virus `p_peak`
+    /// (`V_LL = V + Ipeak·R_LL`, §2.4: the guardband must survive the maximum
+    /// possible current), but at the actual current `I < Ipeak` the load sees
+    /// the excess voltage `(Ipeak − I)·R_LL` and — per Eq. 2 — burns more
+    /// dynamic and leakage power for it, on top of the genuine `I²·R_LL` wire
+    /// dissipation. This is the §5 Observation 2 mechanism: a *higher* AR
+    /// means the running current is closer to the virus current, so the
+    /// excess voltage at the load shrinks and ETEE rises.
+    fn load_line_domain_stage(
+        power: Watts,
+        voltage: Volts,
+        p_peak: Watts,
+        r_ll: Ohms,
+        leakage_fraction: pdn_units::Ratio,
+        delta: f64,
+    ) -> LoadLineStep {
+        if power.get() <= 0.0 {
+            return LoadLineStep { v_ll: voltage, p_ll: power, extra: Watts::ZERO };
+        }
+        let i_peak = p_peak.max(power) / voltage;
+        let v_ll = voltage + i_peak * r_ll;
+        // Fixed point: the load at the (excess) delivered voltage draws more
+        // power, which raises the current, which lowers the delivered voltage.
+        let mut current = power / voltage;
+        let mut p_load = power;
+        for _ in 0..4 {
+            let v_load = (v_ll - current * r_ll).max(voltage);
+            p_load = guardband_power(power, leakage_fraction, voltage, v_load - voltage, delta);
+            current = p_load / v_load;
+        }
+        let wire = current.squared_times(r_ll);
+        let p_ll = p_load + wire;
+        LoadLineStep { v_ll, p_ll, extra: p_ll - power }
     }
 
     #[test]

@@ -48,12 +48,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod areabom;
 pub mod batch;
-pub mod config;
-pub mod error;
+pub(crate) mod config;
+pub(crate) mod error;
 pub mod etee;
 pub mod memo;
 pub mod params;
@@ -65,11 +66,11 @@ pub mod topology;
 pub mod transient;
 pub mod validation;
 
-pub use batch::{BatchStats, ClientSoc, DeltaOutcome, GridDelta, SocProvider, SweepGrid, Workers};
-pub use config::{EngineConfig, EngineConfigBuilder};
+pub use batch::{BatchStats, ClientSoc, SweepGrid, Workers};
+pub use config::EngineConfig;
 pub use error::{ErrorCode, PdnError};
 pub use etee::{DirectStager, LossBreakdown, PdnEvaluation, RailReport, RowStage, Stager};
-pub use memo::{MemoCache, MemoEntry, MemoPdn, MemoStats};
+pub use memo::{MemoCache, MemoEntry, MemoStats};
 pub use params::ModelParams;
-pub use scenario::{DomainLoad, Scenario};
+pub use scenario::Scenario;
 pub use topology::{IPlusMbvrPdn, IvrPdn, LdoPdn, MbvrPdn, Pdn, PdnKind};

@@ -99,10 +99,10 @@ impl MemoStats {
 
 /// Default number of independently locked shards
 /// ([`MemoCache::new`] / [`MemoCache::with_capacity`]).
-pub const DEFAULT_SHARDS: usize = 16;
+pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// Default total entry capacity of [`MemoCache::new`].
-pub const DEFAULT_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_CAPACITY: usize = 8192;
 
 /// One exported cache entry — the raw key pair plus the cached value.
 ///
@@ -159,7 +159,7 @@ pub struct MemoCache {
 }
 
 impl MemoCache {
-    /// A cache bounded at [`DEFAULT_CAPACITY`] entries.
+    /// A cache bounded at 8192 entries.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
@@ -167,7 +167,7 @@ impl MemoCache {
     /// A cache bounded at `capacity` total entries over
     /// [`DEFAULT_SHARDS`] shards (capacity rounded up to a multiple of
     /// the shard count; at least one entry per shard).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self::with_shards(DEFAULT_SHARDS, capacity)
     }
 
@@ -175,7 +175,7 @@ impl MemoCache {
     /// the constructor `EngineConfig` uses. `shards` is clamped to at
     /// least 1; the capacity is rounded up to a multiple of the shard
     /// count with at least one entry per shard.
-    pub fn with_shards(shards: usize, capacity: usize) -> Self {
+    pub(crate) fn with_shards(shards: usize, capacity: usize) -> Self {
         let shards = shards.max(1);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -185,11 +185,6 @@ impl MemoCache {
             evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
         }
-    }
-
-    /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total entry capacity (the per-shard budget times the shard count).
@@ -260,7 +255,10 @@ impl MemoCache {
     }
 
     /// Evaluates a whole lattice row through the cache with one bulk
-    /// lookup.
+    /// lookup, keyed by each scenario's [`Scenario::fingerprint`] as
+    /// supplied by the caller (index-aligned with `scenarios`), so every
+    /// PDN evaluating the same row shares one set. `fingerprints` may be
+    /// empty for a PDN without a token.
     ///
     /// Rows whose every point is cached return without touching the
     /// kernel at all — the warm-sweep fast path. A row with any miss runs
@@ -270,22 +268,7 @@ impl MemoCache {
     /// missing `Ok` results. Hit/miss/bypass counters advance per point,
     /// exactly as the same sweep would count through
     /// [`MemoCache::evaluate`].
-    pub fn evaluate_row(
-        &self,
-        pdn: &dyn Pdn,
-        scenarios: &[Scenario],
-        row: &RowStage,
-    ) -> Vec<Result<PdnEvaluation, PdnError>> {
-        let keyed = if pdn.memo_token().is_some() { scenarios } else { &[] };
-        let fingerprints: Vec<u64> = keyed.iter().map(Scenario::fingerprint).collect();
-        self.evaluate_row_fingerprinted(pdn, scenarios, &fingerprints, row)
-    }
-
-    /// [`MemoCache::evaluate_row`] with each scenario's
-    /// [`Scenario::fingerprint`] supplied by the caller (index-aligned
-    /// with `scenarios`), so every PDN evaluating the same row shares one
-    /// set. `fingerprints` may be empty for a PDN without a token.
-    pub(crate) fn evaluate_row_fingerprinted(
+    pub(crate) fn evaluate_row(
         &self,
         pdn: &dyn Pdn,
         scenarios: &[Scenario],
@@ -577,9 +560,13 @@ mod tests {
             row.iter().map(|s| per_point.evaluate(&pdn, s).unwrap()).collect();
 
         let bulk = MemoCache::new();
+        let fingerprints: Vec<u64> = row.iter().map(Scenario::fingerprint).collect();
         let stage = RowStage::new();
-        let cold: Vec<PdnEvaluation> =
-            bulk.evaluate_row(&pdn, &row, &stage).into_iter().map(|r| r.unwrap()).collect();
+        let cold: Vec<PdnEvaluation> = bulk
+            .evaluate_row(&pdn, &row, &fingerprints, &stage)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
         for (a, b) in expected.iter().zip(&cold) {
             assert_eq!(a.input_power.get().to_bits(), b.input_power.get().to_bits());
             assert_eq!(a.etee.get().to_bits(), b.etee.get().to_bits());
@@ -589,8 +576,11 @@ mod tests {
 
         // The warm pass answers the whole row from the cache.
         let warm_stage = RowStage::new();
-        let warm: Vec<PdnEvaluation> =
-            bulk.evaluate_row(&pdn, &row, &warm_stage).into_iter().map(|r| r.unwrap()).collect();
+        let warm: Vec<PdnEvaluation> = bulk
+            .evaluate_row(&pdn, &row, &fingerprints, &warm_stage)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(cold, warm);
         let stats = bulk.stats();
         assert_eq!((stats.hits, stats.misses), (5, 5));

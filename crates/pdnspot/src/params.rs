@@ -65,7 +65,7 @@ pub struct ModelParams {
     /// Deepest light-load state an *on-die* IVR may use. Real FIVRs have
     /// limited light-load machinery compared to board VRs, which is the
     /// root of Observation 3; the default caps them at PS1.
-    pub ivr_lightload_cap: VrPowerState,
+    pub(crate) ivr_lightload_cap: VrPowerState,
     /// Deepest light-load state a board VR may use.
     pub board_lightload_cap: VrPowerState,
 }

@@ -9,7 +9,7 @@
 //!
 //! This module provides:
 //!
-//! * [`solve_operating_point`] — the TDP-constrained frequency solver;
+//! * `solve_operating_point` — the TDP-constrained frequency solver;
 //! * [`relative_performance`] — a workload's performance under one PDN
 //!   normalised to a baseline PDN (the Fig. 7/8 y-axis);
 //! * [`frequency_sensitivity`] — the extra budget needed for a 1 % clock
@@ -32,21 +32,21 @@ use pdn_workload::{BatteryLifeWorkload, WorkloadType};
 pub struct OperatingPoint {
     /// The frequency scalar `t ∈ [0, 1]` along the workload's frequency
     /// trajectory.
-    pub t: f64,
+    pub(crate) t: f64,
     /// Core clock frequency.
-    pub f_cores: Hertz,
+    pub(crate) f_cores: Hertz,
     /// Graphics clock frequency.
-    pub f_gfx: Hertz,
+    pub(crate) f_gfx: Hertz,
     /// The scenario at the operating point.
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// The PDN evaluation at the operating point.
-    pub evaluation: PdnEvaluation,
+    pub(crate) evaluation: PdnEvaluation,
 }
 
 impl OperatingPoint {
     /// The frequency that matters for the workload's performance: graphics
     /// clock for graphics workloads, core clock otherwise.
-    pub fn performance_frequency(&self, workload_type: WorkloadType) -> Hertz {
+    pub(crate) fn performance_frequency(&self, workload_type: WorkloadType) -> Hertz {
         match workload_type {
             WorkloadType::Graphics => self.f_gfx,
             _ => self.f_cores,
@@ -62,7 +62,7 @@ impl OperatingPoint {
 ///
 /// Returns [`PdnError`] if the PDN cannot evaluate the scenario even at
 /// minimum frequency.
-pub fn solve_operating_point(
+pub(crate) fn solve_operating_point(
     soc: &SocSpec,
     pdn: &dyn Pdn,
     workload_type: WorkloadType,

@@ -16,15 +16,14 @@
 
 pub use crate::batch::{
     build_scenarios, evaluate, evaluate_delta, par_map, par_map_stats, BatchOutcome, BatchStats,
-    ClientSoc, DeltaOutcome, GridDelta, LatticePoint, PointEvaluation, SocProvider, SweepGrid,
-    SweepGridBuilder, Workers,
+    ClientSoc, LatticePoint, SocProvider, SweepGrid, Workers,
 };
-pub use crate::config::{EngineConfig, EngineConfigBuilder, DEFAULT_ADMISSION_DEPTH};
+pub use crate::config::EngineConfig;
 pub use crate::error::{ErrorCode, PdnError};
 pub use crate::etee::{LossBreakdown, PdnEvaluation, RailReport};
-pub use crate::memo::{MemoCache, MemoEntry, MemoPdn, MemoStats};
+pub use crate::memo::{MemoCache, MemoEntry, MemoStats};
 pub use crate::params::ModelParams;
-pub use crate::scenario::{DomainLoad, Scenario};
+pub use crate::scenario::Scenario;
 pub use crate::sweep::{crossover, surfaces, surfaces_delta, Crossover, EteeSurface};
 pub use crate::topology::{IPlusMbvrPdn, IvrPdn, LdoPdn, MbvrPdn, Pdn, PdnKind};
 pub use crate::validation::{validate, validate_with, ReferenceSystem, ValidationReport};

@@ -17,11 +17,11 @@ use pdn_workload::WorkloadType;
 /// The fraction of TDP assumed to reach the loads when constructing
 /// budget-limited scenarios (a representative ETEE; the per-PDN frequency
 /// optimisation for the performance figures lives in [`crate::perf`]).
-pub const NOMINAL_BUDGET_FRACTION: f64 = 0.78;
+pub(crate) const NOMINAL_BUDGET_FRACTION: f64 = 0.78;
 
 /// Rail guardbands are sized for the Turbo Boost virus, which briefly
 /// exceeds TDP (§1); this is the headroom factor applied to the TDP virus.
-pub const TURBO_VIRUS_MARGIN: f64 = 1.3;
+pub(crate) const TURBO_VIRUS_MARGIN: f64 = 1.3;
 
 /// Operating conditions of one domain within a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +29,7 @@ pub struct DomainLoad {
     /// Nominal power consumed by the domain (`P_NOM` in Fig. 1).
     pub nominal_power: Watts,
     /// Nominal rail voltage required by the domain (`V_NOM`).
-    pub voltage: Volts,
+    pub(crate) voltage: Volts,
     /// Leakage fraction used by the Eq. 2 guardband.
     pub leakage_fraction: Ratio,
     /// Whether the domain is powered at all.
@@ -38,7 +38,7 @@ pub struct DomainLoad {
 
 impl DomainLoad {
     /// An unpowered (gated) domain.
-    pub fn gated() -> Self {
+    pub(crate) fn gated() -> Self {
         Self {
             nominal_power: Watts::ZERO,
             voltage: Volts::new(0.45),
@@ -54,15 +54,15 @@ pub struct Scenario {
     /// Human-readable label.
     pub name: String,
     /// Workload type (predictor input `WL_TYPE`).
-    pub workload_type: WorkloadType,
+    pub(crate) workload_type: WorkloadType,
     /// Package application ratio (guardbands are sized for `P/AR`).
     pub ar: ApplicationRatio,
     /// `Some` when the package resides in an idle/C0MIN state.
-    pub power_state: Option<PackageCState>,
+    pub(crate) power_state: Option<PackageCState>,
     /// Junction temperature.
-    pub tj: Celsius,
+    pub(crate) tj: Celsius,
     /// TDP of the SoC the scenario was built for.
-    pub tdp: Watts,
+    pub(crate) tdp: Watts,
     loads: DomainTable<DomainLoad>,
     /// Power-virus load sets (one per virus workload type) at the
     /// TDP-limited frequency, used to size shared-rail load-line
@@ -227,7 +227,7 @@ impl Scenario {
     /// margined virus total for a rail serving `domains`. Depends only on
     /// the scenario, so batch sweeps cache it per (point, rail) and clamp
     /// against the running power afterwards.
-    pub fn rail_virus_headroom(&self, domains: &[DomainKind]) -> Watts {
+    pub(crate) fn rail_virus_headroom(&self, domains: &[DomainKind]) -> Watts {
         // In graphics configurations the second core is parked by the
         // configuration itself (the driver/scheduler keeps it off), so
         // the sibling-wake rule does not apply there.
@@ -254,7 +254,7 @@ impl Scenario {
     }
 
     /// Builds an active scenario whose compute frequency is chosen so that
-    /// the total nominal power fills [`NOMINAL_BUDGET_FRACTION`] of the TDP
+    /// the total nominal power fills `NOMINAL_BUDGET_FRACTION` of the TDP
     /// — the PDN-independent operating point used for the ETEE comparisons
     /// of Figs. 4 and 5.
     ///
@@ -278,7 +278,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`PdnError::Scenario`] if no domain ends up powered.
-    pub fn active_with_budget(
+    pub(crate) fn active_with_budget(
         soc: &SocSpec,
         workload_type: WorkloadType,
         ar: ApplicationRatio,
@@ -468,7 +468,11 @@ impl Scenario {
     /// Maps a scalar `t ∈ [0, 1]` to compute frequencies consistent with
     /// the workload type's budget split (§7.1: graphics workloads keep the
     /// cores at the bottom third of their range).
-    pub fn frequency_point(soc: &SocSpec, workload_type: WorkloadType, t: f64) -> (Hertz, Hertz) {
+    pub(crate) fn frequency_point(
+        soc: &SocSpec,
+        workload_type: WorkloadType,
+        t: f64,
+    ) -> (Hertz, Hertz) {
         let t = t.clamp(0.0, 1.0);
         let cores = soc.domain(DomainKind::Core0);
         let gfx = soc.domain(DomainKind::Gfx);
@@ -594,18 +598,6 @@ impl Scenario {
         })
     }
 
-    /// Builds the power-virus scenario used to size Iccmax (§3.2): every
-    /// role-appropriate domain at maximum frequency with AR = 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::Scenario`] if no domain ends up powered.
-    pub fn power_virus(soc: &SocSpec, workload_type: WorkloadType) -> Result<Self, PdnError> {
-        let cores = soc.domain(DomainKind::Core0);
-        let gfx = soc.domain(DomainKind::Gfx);
-        Scenario::active(soc, workload_type, ApplicationRatio::POWER_VIRUS, cores.fmax, gfx.fmax)
-    }
-
     /// Builds the TDP-limited power-virus scenario used to size off-chip
     /// VRs: AR = 1 at the highest frequency the TDP (plus a turbo margin)
     /// sustains. Platforms size their VRs for the part's own power class,
@@ -633,18 +625,13 @@ impl Scenario {
     }
 
     /// Iterates `(kind, load)` pairs in canonical domain order.
-    pub fn loads(&self) -> impl Iterator<Item = (DomainKind, &DomainLoad)> {
+    pub(crate) fn loads(&self) -> impl Iterator<Item = (DomainKind, &DomainLoad)> {
         self.loads.iter()
     }
 
     /// Total nominal power of all powered domains (the ETEE numerator).
     pub fn total_nominal_power(&self) -> Watts {
         self.loads.values().filter(|l| l.powered).map(|l| l.nominal_power).sum()
-    }
-
-    /// Whether this scenario is an idle/C-state scenario.
-    pub fn is_idle(&self) -> bool {
-        self.power_state.is_some_and(|s| !s.compute_powered())
     }
 
     /// A 64-bit fingerprint of every field the power-flow models read,
@@ -898,7 +885,6 @@ mod tests {
     fn idle_scenario_reproduces_cstate_powers() {
         let soc = client_soc(Watts::new(18.0));
         let s = Scenario::idle(&soc, PackageCState::C8);
-        assert!(s.is_idle());
         assert!((s.total_nominal_power().get() - 0.13).abs() < 1e-9);
         assert!(!s.load(DomainKind::Core0).powered);
         assert!(s.load(DomainKind::Sa).powered);
@@ -908,24 +894,8 @@ mod tests {
     fn c0min_scenario_keeps_compute_powered() {
         let soc = client_soc(Watts::new(18.0));
         let s = Scenario::idle(&soc, PackageCState::C0Min);
-        assert!(!s.is_idle(), "C0MIN counts as active residency");
         assert!(s.load(DomainKind::Core0).powered);
         assert!((s.total_nominal_power().get() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn power_virus_has_ar_one_and_max_power() {
-        let soc = client_soc(Watts::new(50.0));
-        let pv = Scenario::power_virus(&soc, WorkloadType::MultiThread).unwrap();
-        assert_eq!(pv.ar, ApplicationRatio::POWER_VIRUS);
-        let budget = Scenario::active_budget(
-            &soc,
-            WorkloadType::MultiThread,
-            ar(0.6),
-            &ModelParams::paper_defaults(),
-        )
-        .unwrap();
-        assert!(pv.total_nominal_power() > budget.total_nominal_power());
     }
 
     #[test]

@@ -47,25 +47,6 @@ impl EteeSurface {
         self.values.get(tdp_idx * self.ars.len() + ar_idx).copied()
     }
 
-    /// The ETEE at a lattice point.
-    ///
-    /// Prefer [`EteeSurface::get`] when the indices are not known to be
-    /// in range (e.g. when they come from user input or another
-    /// surface's axes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of range.
-    pub fn at(&self, tdp_idx: usize, ar_idx: usize) -> f64 {
-        self.get(tdp_idx, ar_idx).unwrap_or_else(|| {
-            panic!(
-                "ETEE surface index ({tdp_idx}, {ar_idx}) out of range for {}x{} lattice",
-                self.tdps.len(),
-                self.ars.len()
-            )
-        })
-    }
-
     /// The ETEE at an arbitrary `(tdp, ar)` query, bilinearly
     /// interpolated between the surface's knots
     /// ([`pdn_units::bilinear`]).
@@ -73,7 +54,7 @@ impl EteeSurface {
     /// Returns `None` when the query lies outside the axis hull (no
     /// extrapolation) or is not finite. A query landing exactly on a
     /// lattice knot returns the stored value bit-for-bit — identical to
-    /// [`EteeSurface::at`] on the corresponding indices.
+    /// [`EteeSurface::get`] on the corresponding indices.
     pub fn sample(&self, tdp: f64, ar: f64) -> Option<f64> {
         pdn_units::bilinear(&self.tdps, &self.ars, &self.values, tdp, ar)
     }
@@ -82,24 +63,6 @@ impl EteeSurface {
     /// returned in query order.
     pub fn sample_many(&self, queries: &[(f64, f64)]) -> Vec<Option<f64>> {
         queries.iter().map(|&(tdp, ar)| self.sample(tdp, ar)).collect()
-    }
-
-    /// The fixed-AR series over TDP (one Fig. 8-style line).
-    pub fn tdp_series(&self, ar_idx: usize) -> Vec<(f64, f64)> {
-        self.tdps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &tdp)| self.get(i, ar_idx).map(|e| (tdp, e)))
-            .collect()
-    }
-
-    /// The fixed-TDP series over AR (one Fig. 4-style curve).
-    pub fn ar_series(&self, tdp_idx: usize) -> Vec<(f64, f64)> {
-        self.ars
-            .iter()
-            .enumerate()
-            .filter_map(|(j, &ar)| self.get(tdp_idx, j).map(|e| (ar, e)))
-            .collect()
     }
 }
 
@@ -273,7 +236,7 @@ const CROSSOVER_SCAN_POINTS: usize = 9;
 /// entry point.
 ///
 /// The comparison uses the Fig. 4 fixed-TDP-frequency operating points.
-/// A coarse [`CROSSOVER_SCAN_POINTS`]-sample scan runs on the batch
+/// A coarse `CROSSOVER_SCAN_POINTS`-sample scan runs on the batch
 /// engine (both PDNs share each scan scenario through the cache); the
 /// sign change it brackets is then polished by serial bisection. The
 /// search assumes a single crossover in the range, which holds for the
@@ -388,12 +351,11 @@ mod tests {
         let surface = &surfaces[0];
         assert_eq!(surface.values.len(), 6);
         assert_eq!(stats.scenario_builds, 6);
-        let series = surface.tdp_series(0);
-        assert_eq!(series.len(), 3);
-        assert_eq!(series[0].0, 4.0);
-        let ar_series = surface.ar_series(1);
-        assert_eq!(ar_series.len(), 2);
-        assert!(ar_series.iter().all(|&(_, e)| (0.0..=1.0).contains(&e)));
+        assert_eq!(
+            (surface.tdps.as_slice(), surface.ars.as_slice()),
+            (&[4.0, 18.0, 50.0][..], &[0.4, 0.8][..])
+        );
+        assert!(surface.values.iter().all(|e| (0.0..=1.0).contains(e)));
     }
 
     #[test]
@@ -408,11 +370,6 @@ mod tests {
         assert_eq!(surface.get(1, 0), Some(0.7));
         assert_eq!(surface.get(2, 0), None);
         assert_eq!(surface.get(0, 1), None);
-        assert_eq!(surface.at(1, 0), 0.7);
-        assert!(std::panic::catch_unwind(|| surface.at(2, 0)).is_err());
-        // Out-of-range series are empty rather than panicking.
-        assert!(surface.tdp_series(3).is_empty());
-        assert!(surface.ar_series(9).is_empty());
     }
 
     #[test]
@@ -467,14 +424,14 @@ mod tests {
                 let sampled = surface.sample(tdp, ar).unwrap();
                 assert_eq!(
                     sampled.to_bits(),
-                    surface.at(i, j).to_bits(),
-                    "on-knot sample must equal at({i}, {j}) exactly"
+                    surface.get(i, j).unwrap().to_bits(),
+                    "on-knot sample must equal get({i}, {j}) exactly"
                 );
             }
         }
         // Interior queries interpolate within the bracketing knots.
         let mid = surface.sample(11.0, 0.48).unwrap();
-        let corners = [surface.at(0, 0), surface.at(0, 1), surface.at(1, 0), surface.at(1, 1)];
+        let corners = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(i, j)| surface.get(i, j).unwrap());
         let (lo, hi) = corners
             .iter()
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));

@@ -70,7 +70,7 @@ impl IPlusMbvrPdn {
 
     /// [`Pdn::evaluate`] with the PDN-independent stages routed through a
     /// [`Stager`]; returns the same bits for any stager implementation.
-    pub fn evaluate_with(
+    pub(crate) fn evaluate_with(
         &self,
         scenario: &Scenario,
         stager: &impl Stager,

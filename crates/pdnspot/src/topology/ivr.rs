@@ -53,7 +53,7 @@ impl IvrPdn {
 
     /// [`Pdn::evaluate`] with the PDN-independent stages routed through a
     /// [`Stager`]; returns the same bits for any stager implementation.
-    pub fn evaluate_with(
+    pub(crate) fn evaluate_with(
         &self,
         scenario: &Scenario,
         stager: &impl Stager,

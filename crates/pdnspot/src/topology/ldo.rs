@@ -69,7 +69,7 @@ impl LdoPdn {
 
     /// [`Pdn::evaluate`] with the PDN-independent stages routed through a
     /// [`Stager`]; returns the same bits for any stager implementation.
-    pub fn evaluate_with(
+    pub(crate) fn evaluate_with(
         &self,
         scenario: &Scenario,
         stager: &impl Stager,

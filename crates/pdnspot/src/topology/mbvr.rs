@@ -84,7 +84,7 @@ impl MbvrPdn {
 
     /// [`Pdn::evaluate`] with the PDN-independent stages routed through a
     /// [`Stager`]; returns the same bits for any stager implementation.
-    pub fn evaluate_with(
+    pub(crate) fn evaluate_with(
         &self,
         scenario: &Scenario,
         stager: &impl Stager,

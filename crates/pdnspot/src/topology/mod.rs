@@ -162,19 +162,19 @@ pub trait Pdn: fmt::Debug + Send + Sync {
 
 /// Outcome of pushing one domain through an on-chip conversion stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DomainStage {
+pub(crate) struct DomainStage {
     /// Power demanded from the shared input rail.
-    pub input_power: Watts,
+    pub(crate) input_power: Watts,
     /// Guardband/power-gate overhead incurred (the "other" bucket).
-    pub overhead: Watts,
+    pub(crate) overhead: Watts,
     /// On-chip VR conversion loss incurred.
-    pub vr_loss: Watts,
+    pub(crate) vr_loss: Watts,
 }
 
 /// Pushes one powered domain through tolerance band + on-die IVR
 /// conversion (the per-domain part of Eqs. 2 and 6), with the guardband
 /// routed through a [`Stager`].
-pub fn ivr_domain_stage(
+pub(crate) fn ivr_domain_stage(
     scenario: &Scenario,
     kind: DomainKind,
     params: &ModelParams,
@@ -204,7 +204,7 @@ pub fn ivr_domain_stage(
 /// Pushes one powered domain through tolerance band + power gate, yielding
 /// the power it demands from a dedicated board rail (MBVR-style flow), with
 /// both stages routed through a [`Stager`].
-pub fn gated_domain_stage(
+pub(crate) fn gated_domain_stage(
     scenario: &Scenario,
     kind: DomainKind,
     tob: Volts,

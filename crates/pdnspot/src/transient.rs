@@ -28,20 +28,20 @@ use pdn_units::{Amps, Volts};
 /// Decoupling capacitance available to one PDN, by placement (§2.1 lists
 /// board, package, and die reservoirs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecouplingBudget {
+pub(crate) struct DecouplingBudget {
     /// Bulk capacitance on the motherboard (farads).
-    pub board_f: f64,
+    pub(crate) board_f: f64,
     /// Mid-frequency capacitance on the package (farads).
-    pub package_f: f64,
+    pub(crate) package_f: f64,
     /// High-frequency MIM/die capacitance (farads).
-    pub die_f: f64,
+    pub(crate) die_f: f64,
 }
 
 impl DecouplingBudget {
     /// The effective capacitance protecting against a fast load step: the
     /// die capacitance responds first, the package bank shortly after;
     /// board bulk is too far away for the first droop.
-    pub fn fast_effective(&self) -> f64 {
+    pub(crate) fn fast_effective(&self) -> f64 {
         self.die_f + 0.35 * self.package_f
     }
 }
@@ -50,11 +50,11 @@ impl DecouplingBudget {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientModel {
     /// Which PDN this budget describes.
-    pub pdn: PdnKind,
+    pub(crate) pdn: PdnKind,
     /// Loop inductance from the last regulation stage to the load (henry).
-    pub loop_inductance_h: f64,
+    pub(crate) loop_inductance_h: f64,
     /// The decoupling budget.
-    pub decoupling: DecouplingBudget,
+    pub(crate) decoupling: DecouplingBudget,
 }
 
 impl TransientModel {
@@ -89,7 +89,7 @@ impl TransientModel {
 
     /// First-droop magnitude for an instantaneous load step `ΔI`:
     /// `ΔV ≈ ΔI · sqrt(L / C_fast)`.
-    pub fn first_droop(&self, delta_i: Amps) -> Volts {
+    pub(crate) fn first_droop(&self, delta_i: Amps) -> Volts {
         let c = self.decoupling.fast_effective();
         Volts::new(delta_i.get() * (self.loop_inductance_h / c).sqrt())
     }
@@ -113,7 +113,7 @@ impl TransientModel {
 
 /// Droop budget as a fraction of the rail voltage (a typical client
 /// processor allocates ~5 % of the rail to unmitigated fast droop).
-pub const NOISE_BUDGET_FRACTION: f64 = 0.05;
+pub(crate) const NOISE_BUDGET_FRACTION: f64 = 0.05;
 
 #[cfg(test)]
 mod tests {

@@ -107,37 +107,13 @@ impl ReferenceSystem {
         }
     }
 
-    /// "Measures" the platform input power of `pdn` running `scenario`:
-    /// the rail structure comes from the model, but each rail's input
-    /// power is re-integrated through the unit's tabulated surfaces, with
-    /// bias and instrument noise applied.
-    ///
-    /// Equivalent to one model evaluation, [`ReferenceSystem::reintegrate`]
-    /// of that evaluation, and one noise draw; batch campaigns use the
-    /// halves separately so the pure evaluation and reintegration can fan
-    /// out across workers while noise is drawn serially in measurement
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model evaluation errors (a scenario the model cannot
-    /// evaluate cannot be set up on the bench either).
-    pub fn measure_input_power(
-        &self,
-        pdn: &dyn Pdn,
-        scenario: &Scenario,
-    ) -> Result<Watts, PdnError> {
-        let eval = pdn.evaluate(scenario)?;
-        Ok(self.reintegrate(&eval, pdn.params().supply_voltage) * self.noise_factor())
-    }
-
     /// The deterministic half of a measurement: re-integrates each rail
     /// of a model evaluation `eval` — whose rail structure the bench unit
     /// shares — through the unit's tabulated surfaces fed from `supply`,
     /// with the per-unit bias applied. Everything except the
     /// per-measurement instrument noise. Pure: safe to fan out across
     /// batch workers in any order.
-    pub fn reintegrate(&self, eval: &PdnEvaluation, supply: Volts) -> Watts {
+    pub(crate) fn reintegrate(&self, eval: &PdnEvaluation, supply: Volts) -> Watts {
         let mut measured = Watts::ZERO;
         for rail in &eval.rails {
             if rail.input_power.get() <= 0.0 {
@@ -350,6 +326,13 @@ mod tests {
         }
     }
 
+    /// One bench measurement: a model evaluation, its re-integration on
+    /// the unit, and one noise draw.
+    fn measure(unit: &ReferenceSystem, pdn: &dyn Pdn, s: &Scenario) -> Watts {
+        let eval = pdn.evaluate(s).unwrap();
+        unit.reintegrate(&eval, pdn.params().supply_voltage) * unit.noise_factor()
+    }
+
     #[test]
     fn different_units_measure_differently() {
         let params = ModelParams::paper_defaults();
@@ -361,8 +344,8 @@ mod tests {
             ApplicationRatio::new(0.6).unwrap(),
         )
         .unwrap();
-        let a = ReferenceSystem::new(1).measure_input_power(&pdn, &s).unwrap();
-        let b = ReferenceSystem::new(2).measure_input_power(&pdn, &s).unwrap();
+        let a = measure(&ReferenceSystem::new(1), &pdn, &s);
+        let b = measure(&ReferenceSystem::new(2), &pdn, &s);
         assert!((a.get() - b.get()).abs() > 1e-6, "unit variation must show up");
         // ...but both stay close to the model.
         let model = pdn.evaluate(&s).unwrap().input_power;
@@ -377,8 +360,8 @@ mod tests {
         let pdn = IvrPdn::new(params);
         let soc = client_soc(Watts::new(18.0));
         let s = Scenario::idle(&soc, pdn_proc::PackageCState::C2);
-        let a = ReferenceSystem::new(7).measure_input_power(&pdn, &s).unwrap();
-        let b = ReferenceSystem::new(7).measure_input_power(&pdn, &s).unwrap();
+        let a = measure(&ReferenceSystem::new(7), &pdn, &s);
+        let b = measure(&ReferenceSystem::new(7), &pdn, &s);
         // Same seed, same first measurement.
         assert_eq!(a, b);
     }

@@ -9,12 +9,11 @@
 //!
 //! * [`sensors`] — weighted-event activity sensors with calibration error
 //!   and quantisation, the runtime AR proxy;
-//! * [`wltype`] — workload-type classification from domain activity;
-//! * [`budget`] — the power-budget manager that splits the TDP between
-//!   compute domains and tracks a running average;
-//! * [`cstate`] — the package C-state driver whose C6 flow FlexWatts
-//!   reuses for voltage-noise-free mode switching;
-//! * [`tables`] — firmware curve tables (the storage format of the
+//! * [`classify_workload`] — workload-type classification from domain
+//!   activity;
+//! * [`CStateDriver`] — the package C-state driver whose C6 flow
+//!   FlexWatts reuses for voltage-noise-free mode switching;
+//! * [`EteeCurveSet`] — firmware curve tables (the storage format of the
 //!   predictor's ETEE curve sets, footnote 11).
 //!
 //! # Examples
@@ -31,16 +30,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod budget;
-pub mod cstate;
+pub(crate) mod cstate;
 pub mod firmware;
 pub mod sensors;
-pub mod tables;
-pub mod wltype;
+pub(crate) mod tables;
+pub(crate) mod wltype;
 
-pub use budget::PowerBudgetManager;
 pub use cstate::CStateDriver;
 pub use firmware::{FirmwareError, FirmwareImage};
 pub use sensors::ActivitySensorBank;

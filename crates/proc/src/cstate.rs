@@ -140,13 +140,6 @@ pub struct CStateLatency {
     pub exit: Seconds,
 }
 
-impl CStateLatency {
-    /// Total round-trip latency.
-    pub fn round_trip(self) -> Seconds {
-        self.entry + self.exit
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,14 +177,14 @@ mod tests {
         let lat = PackageCState::C6.latency();
         assert!((lat.entry.micros() - 45.0).abs() < 1e-9);
         assert!((lat.exit.micros() - 30.0).abs() < 1e-9);
-        assert!((lat.round_trip().micros() - 75.0).abs() < 1e-9);
     }
 
     #[test]
     fn latency_grows_with_depth() {
         let mut prev = -1.0;
         for st in PackageCState::ALL {
-            let rt = st.latency().round_trip().micros();
+            let lat = st.latency();
+            let rt = (lat.entry + lat.exit).micros();
             assert!(rt >= prev, "{st}");
             prev = rt;
         }

@@ -25,7 +25,7 @@ pub enum DomainKind {
 
 impl DomainKind {
     /// Number of domains (the length of [`Self::ALL`]).
-    pub const COUNT: usize = 6;
+    pub(crate) const COUNT: usize = 6;
 
     /// All domains in canonical order.
     pub const ALL: [DomainKind; Self::COUNT] = [
@@ -49,25 +49,9 @@ impl DomainKind {
     pub const WIDE_RANGE: [DomainKind; 4] =
         [DomainKind::Core0, DomainKind::Core1, DomainKind::Llc, DomainKind::Gfx];
 
-    /// Domains with a low, narrow power range (SA, IO). FlexWatts and the
-    /// LDO PDN statically put these on dedicated off-chip VRs.
-    pub const NARROW_RANGE: [DomainKind; 2] = [DomainKind::Sa, DomainKind::Io];
-
-    /// Whether the domain belongs to the compute group whose frequency the
-    /// power-budget manager scales with the available budget.
-    pub fn is_compute(self) -> bool {
-        matches!(self, DomainKind::Core0 | DomainKind::Core1 | DomainKind::Gfx)
-    }
-
     /// Whether the domain has a wide power range (hybrid-PDN candidates).
     pub fn is_wide_range(self) -> bool {
         Self::WIDE_RANGE.contains(&self)
-    }
-
-    /// Whether the domain runs at fixed frequency regardless of load
-    /// (Table 1: SA and IO operate at fixed frequencies).
-    pub fn is_fixed_frequency(self) -> bool {
-        matches!(self, DomainKind::Sa | DomainKind::Io)
     }
 
     /// Short rail-style name used in reports (matches Fig. 1 labels).
@@ -134,7 +118,7 @@ impl<T> DomainTable<T> {
     }
 
     /// Mutable access to the value stored for a domain.
-    pub fn get_mut(&mut self, kind: DomainKind) -> &mut T {
+    pub(crate) fn get_mut(&mut self, kind: DomainKind) -> &mut T {
         &mut self.slots[kind.index()]
     }
 
@@ -179,22 +163,17 @@ impl<T> std::ops::IndexMut<DomainKind> for DomainTable<T> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainState {
     /// Operating clock frequency (ignored when `powered` is false).
-    pub frequency: Hertz,
+    pub(crate) frequency: Hertz,
     /// Activity factor relative to the domain's power virus (AR, §2.4).
-    pub activity: ApplicationRatio,
+    pub(crate) activity: ApplicationRatio,
     /// Whether the domain is powered (false = power-gated / idle).
-    pub powered: bool,
+    pub(crate) powered: bool,
 }
 
 impl DomainState {
     /// An active domain at `frequency` with activity `activity`.
     pub fn active(frequency: Hertz, activity: ApplicationRatio) -> Self {
         Self { frequency, activity, powered: true }
-    }
-
-    /// A power-gated (idle) domain.
-    pub fn gated() -> Self {
-        Self { frequency: Hertz::ZERO, activity: ApplicationRatio::POWER_VIRUS, powered: false }
     }
 }
 
@@ -205,7 +184,7 @@ mod tests {
     #[test]
     fn partition_covers_all_domains() {
         let mut all: Vec<DomainKind> = DomainKind::WIDE_RANGE.to_vec();
-        all.extend(DomainKind::NARROW_RANGE);
+        all.extend([DomainKind::Sa, DomainKind::Io]);
         all.sort();
         let mut expected = DomainKind::ALL.to_vec();
         expected.sort();
@@ -213,25 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn compute_vs_fixed_frequency() {
-        assert!(DomainKind::Core0.is_compute());
-        assert!(DomainKind::Gfx.is_compute());
-        assert!(!DomainKind::Llc.is_compute());
-        assert!(DomainKind::Sa.is_fixed_frequency());
-        assert!(!DomainKind::Core1.is_fixed_frequency());
-    }
-
-    #[test]
     fn display_matches_fig1_labels() {
         assert_eq!(DomainKind::Gfx.to_string(), "GFX");
         assert_eq!(DomainKind::Llc.to_string(), "LLC");
-    }
-
-    #[test]
-    fn gated_state_is_unpowered() {
-        let s = DomainState::gated();
-        assert!(!s.powered);
-        assert_eq!(s.frequency, Hertz::ZERO);
     }
 
     #[test]

@@ -20,18 +20,19 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod cstate;
+pub(crate) mod cstate;
 pub mod domain;
 pub mod power;
 pub mod soc;
-pub mod tdp;
-pub mod vf;
+pub(crate) mod tdp;
+pub(crate) mod vf;
 
-pub use cstate::{CStateLatency, PackageCState};
+pub use cstate::PackageCState;
 pub use domain::{DomainKind, DomainState, DomainTable};
-pub use power::{guardband_factor, guardband_power, DomainPowerModel};
+pub use power::{guardband_factor, guardband_power};
 pub use soc::{
     broadwell_ult, client_soc, skylake_ult, ClientSocBuilder, DomainConfig, HoistedDomainPower,
     SocSpec,

@@ -64,7 +64,7 @@ pub fn guardband_factor(leakage_fraction: Ratio, v_nom: Volts, v_gb: Volts, delt
 /// workload activity (clock tree, sequencing logic). Activity sensors see
 /// the data-path share only, so measured power scales as
 /// `cf + (1 − cf)·AR` with AR.
-pub const DEFAULT_CLOCK_FRACTION: f64 = 0.35;
+pub(crate) const DEFAULT_CLOCK_FRACTION: f64 = 0.35;
 
 /// Power model for a single processor domain.
 ///
@@ -84,7 +84,7 @@ pub const DEFAULT_CLOCK_FRACTION: f64 = 0.35;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DomainPowerModel {
     /// Which domain this model describes.
-    pub kind: DomainKind,
+    pub(crate) kind: DomainKind,
     /// Effective switched capacitance (farads) at AR = 1.
     pub ceff: f64,
     /// Leakage power at the reference voltage and temperature.
@@ -108,7 +108,7 @@ impl DomainPowerModel {
     /// Dynamic switching power `(cf + (1 − cf)·AR) · Ceff · f · V²`: the
     /// clock tree switches at full rate regardless of the workload's
     /// activity, so only the data-path share scales with AR.
-    pub fn dynamic_power(
+    pub(crate) fn dynamic_power(
         &self,
         frequency: Hertz,
         voltage: Volts,
@@ -120,7 +120,7 @@ impl DomainPowerModel {
 
     /// Leakage power at `(voltage, temperature)`:
     /// `leak_ref · (V/Vref)^δ · e^(k·(T−Tref))`.
-    pub fn leakage_power(&self, voltage: Volts, temperature: Celsius) -> Watts {
+    pub(crate) fn leakage_power(&self, voltage: Volts, temperature: Celsius) -> Watts {
         let v_scale = (voltage.get() / self.vref.get()).powf(self.leak_voltage_exp);
         let t_scale = (self.leak_temp_coeff * (temperature - self.tref).get()).exp();
         self.leak_ref * (v_scale * t_scale)

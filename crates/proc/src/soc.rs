@@ -10,7 +10,6 @@ use crate::domain::{DomainKind, DomainState, DomainTable};
 use crate::power::{DomainPowerModel, DEFAULT_CLOCK_FRACTION, LEAKAGE_VOLTAGE_EXPONENT};
 use crate::vf::VfCurve;
 use pdn_units::{Celsius, Hertz, Ratio, Volts, Watts};
-use std::collections::BTreeMap;
 
 /// Junction temperature used for battery-life evaluations (§7.1).
 pub const TJ_BATTERY_LIFE: Celsius = Celsius::new(50.0);
@@ -94,7 +93,7 @@ impl HoistedDomainPower {
     /// Nominal power at `activity` — bit-identical to
     /// [`DomainConfig::nominal_power`] on an active state at the hoisted
     /// frequency: the dynamic share repeats the exact
-    /// [`DomainPowerModel::dynamic_power`] expression (left-to-right
+    /// `DomainPowerModel::dynamic_power` expression (left-to-right
     /// multiply order matters) and adds the precomputed leakage term.
     pub fn nominal_at(&self, activity: pdn_units::ApplicationRatio) -> Watts {
         let effective = self.clock_fraction + (1.0 - self.clock_fraction) * activity.get();
@@ -144,30 +143,6 @@ impl SocSpec {
     /// Iterates over `(kind, config)` pairs in canonical order.
     pub fn domains(&self) -> impl Iterator<Item = (DomainKind, &DomainConfig)> {
         self.domains.iter()
-    }
-
-    /// Total nominal power over a full set of domain states.
-    pub fn total_nominal_power(
-        &self,
-        states: &BTreeMap<DomainKind, DomainState>,
-        tj: Celsius,
-    ) -> Watts {
-        states.iter().map(|(kind, state)| self.domain(*kind).nominal_power(state, tj)).sum()
-    }
-
-    /// The fixed operating point of the SA and IO domains (Table 1: fixed
-    /// frequencies, not scaled with load) at a given activity.
-    pub fn sa_io_states(
-        &self,
-        activity: pdn_units::ApplicationRatio,
-    ) -> BTreeMap<DomainKind, DomainState> {
-        DomainKind::NARROW_RANGE
-            .iter()
-            .map(|&k| {
-                let cfg = self.domain(k);
-                (k, DomainState::active(cfg.fmax, activity))
-            })
-            .collect()
     }
 }
 
@@ -409,7 +384,15 @@ mod tests {
         let ar = ApplicationRatio::new(0.6).unwrap();
         let lo = client_soc(Watts::new(4.0));
         let hi = client_soc(Watts::new(50.0));
-        let total = |soc: &SocSpec| soc.total_nominal_power(&soc.sa_io_states(ar), soc.tj_active);
+        let total = |soc: &SocSpec| -> Watts {
+            [DomainKind::Sa, DomainKind::Io]
+                .into_iter()
+                .map(|k| {
+                    let cfg = soc.domain(k);
+                    cfg.nominal_power(&DomainState::active(cfg.fmax, ar), soc.tj_active)
+                })
+                .sum()
+        };
         let p_lo = total(&lo);
         let p_hi = total(&hi);
         assert!(p_lo.get() > 0.8 && p_lo.get() < 2.0, "SA+IO at 4 W: {p_lo}");
@@ -421,7 +404,12 @@ mod tests {
     #[test]
     fn gated_domains_consume_nothing() {
         let soc = client_soc(Watts::new(18.0));
-        let p = soc.domain(DomainKind::Gfx).nominal_power(&DomainState::gated(), soc.tj_active);
+        let gated = DomainState {
+            frequency: Hertz::ZERO,
+            activity: ApplicationRatio::POWER_VIRUS,
+            powered: false,
+        };
+        let p = soc.domain(DomainKind::Gfx).nominal_power(&gated, soc.tj_active);
         assert_eq!(p, Watts::ZERO);
     }
 

@@ -16,7 +16,7 @@ pub const PAPER_TDPS: [f64; 7] = [4.0, 8.0, 10.0, 18.0, 25.0, 36.0, 50.0];
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnsupportedTdpError {
     /// The requested TDP.
-    pub requested: Watts,
+    pub(crate) requested: Watts,
 }
 
 impl fmt::Display for UnsupportedTdpError {
@@ -69,26 +69,16 @@ impl ConfigurableTdp {
         Ok(Self { levels, current: initial })
     }
 
-    /// A fixed (non-configurable) TDP.
-    pub fn fixed(tdp: Watts) -> Self {
-        Self { levels: vec![tdp], current: 0 }
-    }
-
     /// The currently configured TDP.
     pub fn current(&self) -> Watts {
         self.levels[self.current]
-    }
-
-    /// The supported levels, ascending.
-    pub fn levels(&self) -> &[Watts] {
-        &self.levels
     }
 
     /// Selects a supported level (cTDP-up / cTDP-down).
     ///
     /// # Errors
     ///
-    /// Returns [`UnsupportedTdpError`] if `tdp` is not a configured level.
+    /// Returns `UnsupportedTdpError` if `tdp` is not a configured level.
     pub fn configure(&mut self, tdp: Watts) -> Result<(), UnsupportedTdpError> {
         match self.levels.iter().position(|&l| (l.get() - tdp.get()).abs() < 1e-9) {
             Some(i) => {
@@ -105,13 +95,6 @@ impl ConfigurableTdp {
         if self.current + 1 < self.levels.len() {
             self.current += 1;
         }
-        self.current()
-    }
-
-    /// Steps to the next-lower level if one exists (cTDP-down); returns the
-    /// new current TDP.
-    pub fn step_down(&mut self) -> Watts {
-        self.current = self.current.saturating_sub(1);
         self.current()
     }
 }
@@ -136,8 +119,6 @@ mod tests {
         let mut c = ConfigurableTdp::new(levels(), 0).unwrap();
         assert_eq!(c.current(), Watts::new(4.0));
         assert_eq!(c.step_up(), Watts::new(8.0));
-        assert_eq!(c.step_down(), Watts::new(4.0));
-        assert_eq!(c.step_down(), Watts::new(4.0), "saturates at the bottom");
         c.configure(Watts::new(36.0)).unwrap();
         assert_eq!(c.current(), Watts::new(36.0));
         assert!(c.configure(Watts::new(12.0)).is_err());
@@ -148,12 +129,5 @@ mod tests {
         assert!(ConfigurableTdp::new(vec![], 0).is_err());
         assert!(ConfigurableTdp::new(levels(), 99).is_err());
         assert!(ConfigurableTdp::new(vec![Watts::new(10.0), Watts::new(10.0)], 0).is_err());
-    }
-
-    #[test]
-    fn fixed_has_single_level() {
-        let c = ConfigurableTdp::fixed(Watts::new(15.0));
-        assert_eq!(c.levels().len(), 1);
-        assert_eq!(c.current(), Watts::new(15.0));
     }
 }

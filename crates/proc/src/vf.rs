@@ -51,12 +51,6 @@ impl VfCurve {
         self.curve.points().map(|(f, v)| (Hertz::new(f), Volts::new(v)))
     }
 
-    /// The frequency range covered by the curve.
-    pub fn frequency_range(&self) -> (Hertz, Hertz) {
-        let (lo, hi) = self.curve.domain();
-        (Hertz::new(lo), Hertz::new(hi))
-    }
-
     /// The voltage range covered by the curve.
     pub fn voltage_range(&self) -> (Volts, Volts) {
         (Volts::new(self.curve.y_min()), Volts::new(self.curve.y_max()))
@@ -83,7 +77,7 @@ impl VfCurve {
     /// (Table 1's GFX frequency range). §5 Observation 2's point stands:
     /// graphics runs near the top of its range while cores sit near 0.5 V
     /// during graphics workloads.
-    pub fn client_gfx() -> Self {
+    pub(crate) fn client_gfx() -> Self {
         Self::from_points([
             (Hertz::from_gigahertz(0.1), Volts::new(0.400)),
             (Hertz::from_gigahertz(0.45), Volts::new(0.405)),
@@ -97,13 +91,13 @@ impl VfCurve {
     /// The LLC curve. The LLC voltage design point matches the core voltage
     /// domain (§7.1, Rotem et al.); the curve is the core curve over the
     /// core frequency range.
-    pub fn client_llc() -> Self {
+    pub(crate) fn client_llc() -> Self {
         Self::client_core()
     }
 
     /// Fixed-frequency SA/IO rail: flat voltage across its (nominal)
     /// operating range.
-    pub fn fixed(voltage: Volts) -> Self {
+    pub(crate) fn fixed(voltage: Volts) -> Self {
         Self::from_points([
             (Hertz::from_gigahertz(0.05), voltage),
             (Hertz::from_gigahertz(2.0), voltage),
@@ -130,7 +124,8 @@ mod tests {
     #[test]
     fn core_curve_matches_table1_range() {
         let vf = VfCurve::client_core();
-        let (flo, fhi) = vf.frequency_range();
+        let (flo, _) = vf.points().next().unwrap();
+        let (fhi, _) = vf.points().last().unwrap();
         assert!((flo.gigahertz() - 0.8).abs() < 1e-9);
         assert!((fhi.gigahertz() - 4.0).abs() < 1e-9);
         let (vlo, vhi) = vf.voltage_range();
@@ -140,7 +135,8 @@ mod tests {
     #[test]
     fn gfx_curve_matches_table1_range() {
         let vf = VfCurve::client_gfx();
-        let (flo, fhi) = vf.frequency_range();
+        let (flo, _) = vf.points().next().unwrap();
+        let (fhi, _) = vf.points().last().unwrap();
         assert!((flo.gigahertz() - 0.1).abs() < 1e-9);
         assert!((fhi.gigahertz() - 1.2).abs() < 1e-9);
     }

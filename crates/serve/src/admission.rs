@@ -22,7 +22,7 @@
 //!    [`EngineConfig::shed_age_ms`] are shed (`Overloaded` +
 //!    `RetryAfter`) instead of burning pool time on abandoned work;
 //! 3. **quarantine** — a request whose bit-exact body already panicked
-//!    the engine [`POISON_THRESHOLD`] times is answered
+//!    the engine `POISON_THRESHOLD` times is answered
 //!    [`ErrorCode::Poisoned`] (terminal) instead of crash-looping;
 //! 4. **coalescing with refcounted cancellation** — Evals sharing a
 //!    bit-exact `(tenant, pdn, point)` key become one evaluation. The
@@ -50,13 +50,13 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// `RetryAfter` hint when the whole queue is full.
-pub const RETRY_AFTER_FULL_MS: u32 = 100;
+pub(crate) const RETRY_AFTER_FULL_MS: u32 = 100;
 
 /// `RetryAfter` hint when only the tenant's budget is exhausted.
-pub const RETRY_AFTER_TENANT_MS: u32 = 50;
+pub(crate) const RETRY_AFTER_TENANT_MS: u32 = 50;
 
 /// `RetryAfter` hint when a request was shed by queue age.
-pub const RETRY_AFTER_SHED_MS: u32 = 25;
+pub(crate) const RETRY_AFTER_SHED_MS: u32 = 25;
 
 /// A non-blocking response path to one connection's writer.
 ///
@@ -79,7 +79,7 @@ impl ReplyHandle {
     /// Delivers a response without ever blocking. Returns `false` when
     /// the connection is evicted, its buffer is full (which evicts
     /// it), or its writer is gone.
-    pub fn deliver(&self, response: Response) -> bool {
+    pub(crate) fn deliver(&self, response: Response) -> bool {
         if self.is_evicted() {
             return false;
         }
@@ -95,12 +95,12 @@ impl ReplyHandle {
 
     /// Whether the connection has been evicted.
     #[must_use]
-    pub fn is_evicted(&self) -> bool {
+    pub(crate) fn is_evicted(&self) -> bool {
         self.evicted.load(Ordering::Acquire)
     }
 
     /// Marks the connection evicted (slow client, write failure).
-    pub fn evict(&self) {
+    pub(crate) fn evict(&self) {
         self.evicted.store(true, Ordering::Release);
     }
 }
@@ -111,10 +111,10 @@ pub struct Job {
     /// The decoded request (tenant, correlation id, deadline, body).
     pub request: Request,
     /// Where the response goes (the connection's writer).
-    pub reply: ReplyHandle,
+    pub(crate) reply: ReplyHandle,
     /// When the request was admitted; deadlines and age shedding are
     /// measured from here.
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
 }
 
 impl Job {
@@ -126,7 +126,7 @@ impl Job {
 
     /// The absolute deadline, if the request carries one.
     #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
+    pub(crate) fn deadline(&self) -> Option<Instant> {
         match self.request.deadline_ms {
             0 => None,
             ms => Some(self.enqueued + Duration::from_millis(u64::from(ms))),
@@ -135,7 +135,7 @@ impl Job {
 
     /// Whether the deadline has lapsed at `now`.
     #[must_use]
-    pub fn expired(&self, now: Instant) -> bool {
+    pub(crate) fn expired(&self, now: Instant) -> bool {
         self.deadline().is_some_and(|d| now >= d)
     }
 }
@@ -160,7 +160,7 @@ pub enum Rejection {
 impl Rejection {
     /// The wire response this rejection is reported as.
     #[must_use]
-    pub fn response(self, id: u64) -> Response {
+    pub(crate) fn response(self, id: u64) -> Response {
         let body = match self {
             Rejection::Overloaded { depth } => ResponseBody::Error(
                 ServeError::new(
@@ -219,20 +219,8 @@ impl AdmissionQueue {
         }
     }
 
-    /// The configured depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The per-tenant admission budget.
-    #[must_use]
-    pub fn tenant_quota(&self) -> usize {
-        self.tenant_quota
-    }
-
     /// Admits a job, or hands it back with the classified rejection —
-    /// the caller answers with [`Rejection::response`].
+    /// the caller answers with `Rejection::response`.
     ///
     /// # Errors
     ///
@@ -296,13 +284,13 @@ impl AdmissionQueue {
 
 /// The response a closed (shutting-down) queue sends back.
 #[must_use]
-pub fn shutdown_response(id: u64) -> Response {
+pub(crate) fn shutdown_response(id: u64) -> Response {
     Rejection::Closed.response(id)
 }
 
 /// The response a deadline-expired request gets.
 #[must_use]
-pub fn deadline_response(id: u64) -> Response {
+pub(crate) fn deadline_response(id: u64) -> Response {
     Response {
         id,
         body: ResponseBody::Error(ServeError::new(
@@ -314,7 +302,7 @@ pub fn deadline_response(id: u64) -> Response {
 
 /// The response a queue-age-shed request gets.
 #[must_use]
-pub fn shed_response(id: u64, age_ms: u64) -> Response {
+pub(crate) fn shed_response(id: u64, age_ms: u64) -> Response {
     Response {
         id,
         body: ResponseBody::Error(
@@ -329,7 +317,7 @@ pub fn shed_response(id: u64, age_ms: u64) -> Response {
 
 /// The terminal response a quarantined (poison) request gets.
 #[must_use]
-pub fn poisoned_response(id: u64) -> Response {
+pub(crate) fn poisoned_response(id: u64) -> Response {
     Response {
         id,
         body: ResponseBody::Error(ServeError::new(
@@ -344,7 +332,7 @@ pub fn poisoned_response(id: u64) -> Response {
 
 /// The retryable response a caught evaluation panic gets.
 #[must_use]
-pub fn panic_response(id: u64, what: &str) -> Response {
+pub(crate) fn panic_response(id: u64, what: &str) -> Response {
     Response {
         id,
         body: ResponseBody::Error(ServeError::new(
@@ -355,7 +343,7 @@ pub fn panic_response(id: u64, what: &str) -> Response {
 }
 
 /// The dispatcher loop: drains batches until the queue closes.
-pub fn dispatch(engine: &ServeEngine, queue: &AdmissionQueue) {
+pub(crate) fn dispatch(engine: &ServeEngine, queue: &AdmissionQueue) {
     while let Some(batch) = queue.drain() {
         run_batch(engine, batch);
     }
@@ -402,7 +390,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Answers one drained batch. Exposed for the loopback tests.
-pub fn run_batch(engine: &ServeEngine, batch: Vec<Job>) {
+pub(crate) fn run_batch(engine: &ServeEngine, batch: Vec<Job>) {
     let shed_age_ms = engine.config().shed_age_ms();
     let now = Instant::now();
 

@@ -9,7 +9,7 @@
 //! outright evaluation panics — including a designated poison point
 //! that panics every time it is evaluated, so the quarantine trips).
 //!
-//! Every disruption is drawn from a [`ChaosPlan`] derived purely from
+//! Every disruption is drawn from a `ChaosPlan` derived purely from
 //! the seed, so two runs of the same `(seed, mix)` issue the same
 //! byte streams. Thread interleavings still vary — which is the point:
 //! the campaign asserts invariants that must hold under *any*
@@ -66,28 +66,28 @@ use std::time::{Duration, Instant};
 /// Per-class disruption rates (probability that a chaos client adopts
 /// the class, clamped into `[0, 1]`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosMix {
+pub(crate) struct ChaosMix {
     /// Stable name used in reports and the JSON document.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Mid-frame disconnects: half a frame, then a dropped socket.
-    pub disconnects: f64,
+    pub(crate) disconnects: f64,
     /// Byte-split writes with pauses inside a frame.
-    pub stalls: f64,
+    pub(crate) stalls: f64,
     /// Well-framed garbage and CRC-corrupted frames.
-    pub garbage: f64,
+    pub(crate) garbage: f64,
     /// Burst floods past the admission depth.
-    pub floods: f64,
+    pub(crate) floods: f64,
     /// Clients that stop reading replies mid-run.
-    pub slow_readers: f64,
+    pub(crate) slow_readers: f64,
     /// Engine faults (delays, errors, panics) from a
     /// [`flexwatts::faults::FaultPlan`].
-    pub engine_faults: f64,
+    pub(crate) engine_faults: f64,
 }
 
 impl ChaosMix {
     /// Disconnect-heavy mix: dropped sockets and garbage frames.
     #[must_use]
-    pub fn disconnects() -> Self {
+    pub(crate) fn disconnects() -> Self {
         Self {
             name: "disconnects",
             disconnects: 0.5,
@@ -101,7 +101,7 @@ impl ChaosMix {
 
     /// Stall-heavy mix: byte-split writes and slow readers.
     #[must_use]
-    pub fn stalls() -> Self {
+    pub(crate) fn stalls() -> Self {
         Self {
             name: "stalls",
             disconnects: 0.0,
@@ -115,7 +115,7 @@ impl ChaosMix {
 
     /// Flood mix: burst admission past the queue depth.
     #[must_use]
-    pub fn floods() -> Self {
+    pub(crate) fn floods() -> Self {
         Self {
             name: "floods",
             disconnects: 0.0,
@@ -129,7 +129,7 @@ impl ChaosMix {
 
     /// Engine-fault mix: injected delays, errors, and panics.
     #[must_use]
-    pub fn engine_faults() -> Self {
+    pub(crate) fn engine_faults() -> Self {
         Self {
             name: "engine-faults",
             disconnects: 0.0,
@@ -141,52 +141,38 @@ impl ChaosMix {
         }
     }
 
-    /// Everything at once.
-    #[must_use]
-    pub fn storm() -> Self {
-        Self {
-            name: "storm",
-            disconnects: 0.25,
-            stalls: 0.2,
-            garbage: 0.1,
-            floods: 0.3,
-            slow_readers: 0.15,
-            engine_faults: 1.0,
-        }
-    }
-
     /// The campaign's default mix set (one run per mix per seed).
     #[must_use]
-    pub fn campaign_set() -> Vec<Self> {
+    pub(crate) fn campaign_set() -> Vec<Self> {
         vec![Self::disconnects(), Self::stalls(), Self::floods(), Self::engine_faults()]
     }
 }
 
 /// One chaos run: a seed, a mix, and the storm's dimensions.
 #[derive(Debug, Clone)]
-pub struct ChaosConfig {
+pub(crate) struct ChaosConfig {
     /// Seed for every scripted choice in the run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The disruption mix.
-    pub mix: ChaosMix,
+    pub(crate) mix: ChaosMix,
     /// Concurrent chaos connections.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Requests each healthy client issues.
-    pub requests: usize,
+    pub(crate) requests: usize,
     /// Distinct tenants the clients map onto.
-    pub tenants: u32,
+    pub(crate) tenants: u32,
 }
 
 impl ChaosConfig {
     /// The default storm dimensions for a `(seed, mix)` pair.
     #[must_use]
-    pub fn new(seed: u64, mix: ChaosMix) -> Self {
+    pub(crate) fn new(seed: u64, mix: ChaosMix) -> Self {
         Self { seed, mix, clients: 12, requests: 48, tenants: 4 }
     }
 
     /// A seconds-scale configuration for CI smoke jobs and tests.
     #[must_use]
-    pub fn quick(seed: u64, mix: ChaosMix) -> Self {
+    pub(crate) fn quick(seed: u64, mix: ChaosMix) -> Self {
         Self { clients: 6, requests: 20, ..Self::new(seed, mix) }
     }
 }
@@ -197,7 +183,7 @@ impl ChaosConfig {
 
 /// What one scripted client does for the whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientRole {
+pub(crate) enum ClientRole {
     /// Windowed request/response traffic; every reply verified.
     Clean,
     /// Clean traffic, then half a frame and a dropped socket.
@@ -214,30 +200,30 @@ pub enum ClientRole {
 
 /// One client's script: its role plus per-request deadline draws.
 #[derive(Debug, Clone)]
-pub struct ClientScript {
+pub(crate) struct ClientScript {
     /// The scripted behaviour class.
-    pub role: ClientRole,
+    pub(crate) role: ClientRole,
     /// Universe rank of each request, drawn at plan time.
-    pub ranks: Vec<usize>,
+    pub(crate) ranks: Vec<usize>,
     /// Deadline (ms, 0 = none) of each request, drawn at plan time.
-    pub deadlines: Vec<u32>,
+    pub(crate) deadlines: Vec<u32>,
 }
 
 /// The full deterministic schedule of a run: client scripts plus the
 /// engine-fault plan.
 #[derive(Debug, Clone)]
-pub struct ChaosPlan {
+pub(crate) struct ChaosPlan {
     /// One script per connection.
-    pub scripts: Vec<ClientScript>,
+    pub(crate) scripts: Vec<ClientScript>,
     /// Engine faults by global request ordinal (empty when the mix has
     /// no engine faults).
-    pub engine_faults: Vec<(u64, PlannedFault)>,
+    pub(crate) engine_faults: Vec<(u64, PlannedFault)>,
 }
 
 /// A planned engine fault (the serializable face of
 /// [`InjectedFault`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlannedFault {
+pub(crate) enum PlannedFault {
     /// Stall the evaluation for the given number of milliseconds.
     DelayMs(u64),
     /// Fail the evaluation with a retryable internal error.
@@ -248,16 +234,16 @@ pub enum PlannedFault {
 
 /// The universe rank that always panics when engine faults are active:
 /// evaluating it twice must trip the poison quarantine.
-pub const POISON_RANK: usize = 3;
+pub(crate) const POISON_RANK: usize = 3;
 
 /// Size of the deterministic design-point universe chaos clients draw
 /// from (small, so coalescing and the poison rank both recur).
-pub const CHAOS_UNIVERSE: usize = 96;
+pub(crate) const CHAOS_UNIVERSE: usize = 96;
 
 /// The design point behind a universe rank (a pure function of the
 /// rank).
 #[must_use]
-pub fn chaos_point(rank: usize) -> (PdnId, PointSpec) {
+pub(crate) fn chaos_point(rank: usize) -> (PdnId, PointSpec) {
     let pdn = PdnId::ALL[rank % PdnId::ALL.len()];
     let wl = WorkloadType::ACTIVE_TYPES[(rank / 5) % WorkloadType::ACTIVE_TYPES.len()];
     let tdp = crate::engine::SERVE_TDPS[(rank / 15) % crate::engine::SERVE_TDPS.len()];
@@ -269,7 +255,7 @@ impl ChaosPlan {
     /// Derives the whole run from the seed: every role assignment,
     /// rank draw, deadline draw, and engine-fault placement.
     #[must_use]
-    pub fn generate(cfg: &ChaosConfig) -> Self {
+    pub(crate) fn generate(cfg: &ChaosConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC0A5_7A11_FEED_FACE);
         let mix = &cfg.mix;
         let mut scripts = Vec::with_capacity(cfg.clients);
@@ -345,7 +331,7 @@ impl ChaosPlan {
     /// evaluation always panics (so the quarantine trips once it has
     /// panicked twice).
     #[must_use]
-    pub fn injector(&self) -> Option<Arc<crate::engine::FaultInjector>> {
+    pub(crate) fn injector(&self) -> Option<Arc<crate::engine::FaultInjector>> {
         if self.engine_faults.is_empty() {
             return None;
         }
@@ -585,35 +571,35 @@ pub struct ChaosRunReport {
     pub accepted: usize,
     /// Replies received (including error replies — every accepted
     /// request must be answered).
-    pub answered: usize,
+    pub(crate) answered: usize,
     /// Expected ids never answered on connections that stayed healthy.
     pub lost: usize,
     /// Expected ids never answered on connections that died (killed,
     /// evicted, or deliberately dropped): forgiven, but counted, so
     /// the ledger `accepted == answered - duplicated + lost + forgiven`
     /// closes.
-    pub forgiven: usize,
+    pub(crate) forgiven: usize,
     /// Ids answered more than once (any connection).
     pub duplicated: usize,
     /// `Overloaded` replies that arrived without a `RetryAfter` hint.
     pub overloaded_without_hint: usize,
     /// Rejections (`Overloaded` with a hint) observed by clients.
-    pub rejected: usize,
+    pub(crate) rejected: usize,
     /// Dispatcher panics isolated (from the daemon's final stats).
     pub panics_isolated: u64,
     /// Poisoned (quarantined) replies issued.
-    pub quarantined: u64,
+    pub(crate) quarantined: u64,
     /// Requests shed by queue age or tenant budget.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Requests answered `DeadlineExceeded`.
-    pub deadline_expired: u64,
+    pub(crate) deadline_expired: u64,
     /// Slow-client evictions performed.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// p99 reply latency (µs) *during* the storm.
-    pub p99_us_storm: u64,
+    pub(crate) p99_us_storm: u64,
     /// Time from the end of the storm until a fresh probe round-trips
     /// under the recovery threshold.
-    pub recovery_ms: u64,
+    pub(crate) recovery_ms: u64,
     /// All invariants held and the daemon shut down cleanly.
     pub survived: bool,
 }
@@ -622,7 +608,7 @@ pub struct ChaosRunReport {
 #[derive(Debug, Clone)]
 pub struct ChaosCampaignReport {
     /// Seeds exercised.
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// Every `(seed, mix)` run.
     pub runs: Vec<ChaosRunReport>,
     /// Fraction of runs that survived.
@@ -632,29 +618,29 @@ pub struct ChaosCampaignReport {
     /// Double-answered ids across all runs.
     pub duplicated_total: usize,
     /// Worst p99 under storm across runs (µs).
-    pub p99_us_storm: u64,
+    pub(crate) p99_us_storm: u64,
     /// Worst recovery time across runs (ms).
-    pub recovery_ms_max: u64,
+    pub(crate) recovery_ms_max: u64,
     /// Panics isolated across runs.
-    pub panics_isolated: u64,
+    pub(crate) panics_isolated: u64,
     /// The snapshot-corruption leg behaved (fallback + cold start).
     pub snapshot_corruption_cold_start: bool,
     /// The trace-corruption leg behaved: the daemon answered every
     /// probe while the poisoned trace replayed, the damaged chunks were
     /// quarantined, and every interval was replayed or accounted lost.
-    pub trace_corruption_served: bool,
+    pub(crate) trace_corruption_served: bool,
     /// Intervals the trace-corruption replay emitted.
-    pub trace_intervals_replayed: u64,
+    pub(crate) trace_intervals_replayed: u64,
     /// Intervals the trace-corruption replay lost (and accounted).
-    pub trace_intervals_lost: u64,
+    pub(crate) trace_intervals_lost: u64,
     /// Chunks the trace-corruption replay quarantined.
-    pub trace_chunks_quarantined: u64,
+    pub(crate) trace_chunks_quarantined: u64,
 }
 
 impl ChaosCampaignReport {
     /// Renders the report as the `BENCH_chaos.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"pdn-serve-chaos/v1\",\n  \"seeds\": [");
         for (i, seed) in self.seeds.iter().enumerate() {
             if i > 0 {
@@ -794,7 +780,7 @@ fn chaos_engine_config(cfg: &ChaosConfig) -> Result<EngineConfig, String> {
 /// Returns a rendered description of a boot or probe failure — a
 /// failure to even run the storm, as opposed to an invariant violation
 /// (which is reported as `survived: false`).
-pub fn run(cfg: &ChaosConfig) -> Result<ChaosRunReport, String> {
+pub(crate) fn run(cfg: &ChaosConfig) -> Result<ChaosRunReport, String> {
     let plan = ChaosPlan::generate(cfg);
     let engine = ServeEngine::new(chaos_engine_config(cfg)?).map_err(|e| format!("boot: {e}"))?;
     let engine = Arc::new(engine);
@@ -1174,9 +1160,22 @@ pub fn campaign(cfg: &CampaignConfig) -> Result<ChaosCampaignReport, String> {
 mod tests {
     use super::*;
 
+    /// Everything at once: every disruption rate set.
+    fn storm() -> ChaosMix {
+        ChaosMix {
+            name: "storm",
+            disconnects: 0.25,
+            stalls: 0.2,
+            garbage: 0.1,
+            floods: 0.3,
+            slow_readers: 0.15,
+            engine_faults: 1.0,
+        }
+    }
+
     #[test]
     fn plans_are_deterministic_in_the_seed() {
-        let cfg = ChaosConfig::quick(42, ChaosMix::storm());
+        let cfg = ChaosConfig::quick(42, storm());
         let a = ChaosPlan::generate(&cfg);
         let b = ChaosPlan::generate(&cfg);
         assert_eq!(a.engine_faults, b.engine_faults);
@@ -1186,7 +1185,7 @@ mod tests {
             assert_eq!(sa.ranks, sb.ranks);
             assert_eq!(sa.deadlines, sb.deadlines);
         }
-        let other = ChaosPlan::generate(&ChaosConfig::quick(43, ChaosMix::storm()));
+        let other = ChaosPlan::generate(&ChaosConfig::quick(43, storm()));
         assert!(
             a.scripts.iter().zip(&other.scripts).any(|(x, y)| x.ranks != y.ranks),
             "different seeds must draw different ranks"
@@ -1195,7 +1194,7 @@ mod tests {
 
     #[test]
     fn storm_mix_assigns_disruptive_roles() {
-        let cfg = ChaosConfig::new(7, ChaosMix::storm());
+        let cfg = ChaosConfig::new(7, storm());
         let plan = ChaosPlan::generate(&cfg);
         assert!(
             plan.scripts.iter().any(|s| s.role != ClientRole::Clean),

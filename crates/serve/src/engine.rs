@@ -55,13 +55,13 @@ pub struct TenantState {
 /// quarantine it: the first panic is retryable ([`ErrorCode::Internal`]);
 /// from the second on, the body is answered [`ErrorCode::Poisoned`]
 /// (terminal) without re-entering the engine.
-pub const POISON_THRESHOLD: u32 = 2;
+pub(crate) const POISON_THRESHOLD: u32 = 2;
 
 /// A deterministic fingerprint of a request body, independent of the
 /// tenant and correlation id — the quarantine's "bit-exact key".
 /// FNV-1a over the body's discriminant and parameter bit patterns.
 #[must_use]
-pub fn poison_key(body: &RequestBody) -> u64 {
+pub(crate) fn poison_key(body: &RequestBody) -> u64 {
     let mut h = Fnv1a::new();
     match body {
         RequestBody::Ping => h.u8(0),
@@ -117,7 +117,7 @@ pub fn poison_key(body: &RequestBody) -> u64 {
 
 /// A fault the chaos harness injects ahead of real evaluation.
 #[derive(Debug, Clone)]
-pub enum InjectedFault {
+pub(crate) enum InjectedFault {
     /// Panic with this message (exercises `catch_unwind` isolation and
     /// the poison quarantine).
     Panic(String),
@@ -129,7 +129,7 @@ pub enum InjectedFault {
 
 /// A chaos hook: inspects `(tenant, body)` before evaluation and may
 /// inject a fault. `None` lets the request through untouched.
-pub type FaultInjector = dyn Fn(u32, &RequestBody) -> Option<InjectedFault> + Send + Sync;
+pub(crate) type FaultInjector = dyn Fn(u32, &RequestBody) -> Option<InjectedFault> + Send + Sync;
 
 /// The multi-tenant evaluation engine behind every transport.
 pub struct ServeEngine {
@@ -255,14 +255,8 @@ impl ServeEngine {
 
     /// The engine's configuration.
     #[must_use]
-    pub fn config(&self) -> &EngineConfig {
+    pub(crate) fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The trained (or restored) mode predictor.
-    #[must_use]
-    pub fn predictor(&self) -> &ModePredictor {
-        &self.predictor
     }
 
     /// The resident topology for a wire id.
@@ -273,45 +267,45 @@ impl ServeEngine {
 
     /// Whether a Shutdown request has been accepted.
     #[must_use]
-    pub fn shutdown_requested(&self) -> bool {
+    pub(crate) fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     /// Requests a graceful shutdown (also reachable via the protocol).
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
     }
 
     /// Records `n` eval queries answered by coalescing (they are also
     /// counted as admitted requests).
-    pub fn note_coalesced(&self, n: u64) {
+    pub(crate) fn note_coalesced(&self, n: u64) {
         self.coalesced.fetch_add(n, Ordering::Relaxed);
         self.requests.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one request shed by queue age or tenant budget.
-    pub fn note_shed(&self) {
+    pub(crate) fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one request answered `DeadlineExceeded`.
-    pub fn note_deadline_expired(&self) {
+    pub(crate) fn note_deadline_expired(&self) {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one connection evicted by the slow-client defense.
-    pub fn note_eviction(&self) {
+    pub(crate) fn note_eviction(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one quarantined request answered `Poisoned`.
-    pub fn note_quarantine_hit(&self) {
+    pub(crate) fn note_quarantine_hit(&self) {
         self.quarantine_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a caught evaluation panic against the request's
     /// fingerprint, returning the total panics now logged for it.
-    pub fn note_panic(&self, poison: u64) -> u32 {
+    pub(crate) fn note_panic(&self, poison: u64) -> u32 {
         self.panics.fetch_add(1, Ordering::Relaxed);
         let mut log = self.poison_log.lock().unwrap_or_else(PoisonError::into_inner);
         let count = log.entry(poison).or_insert(0);
@@ -322,7 +316,7 @@ impl ServeEngine {
     /// Whether a request fingerprint has panicked [`POISON_THRESHOLD`]
     /// or more times and is quarantined.
     #[must_use]
-    pub fn is_quarantined(&self, poison: u64) -> bool {
+    pub(crate) fn is_quarantined(&self, poison: u64) -> bool {
         self.poison_log
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -331,7 +325,7 @@ impl ServeEngine {
     }
 
     /// Installs (or clears) the chaos fault injector.
-    pub fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
+    pub(crate) fn set_fault_injector(&self, injector: Option<Arc<FaultInjector>>) {
         *self.injector.write().unwrap_or_else(PoisonError::into_inner) = injector;
     }
 
@@ -547,7 +541,7 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] on I/O failure.
-    pub fn write_snapshot(&self, path: &Path) -> Result<(u64, u64), SnapshotError> {
+    pub(crate) fn write_snapshot(&self, path: &Path) -> Result<(u64, u64), SnapshotError> {
         let snap = self.snapshot();
         let entries = snap.tenants.iter().map(|(_, e)| e.len() as u64).sum();
         let bytes = snapshot::write_file_rotated(path, &snap, snapshot::DEFAULT_KEEP)?;

@@ -31,6 +31,7 @@
 //! [`EteeSurface::sample`]: pdnspot::sweep::EteeSurface::sample
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // The daemon must never panic on untrusted input or IO: failures are
 // typed `ServeError`s on the wire. Keep bare `.unwrap()` out of
 // non-test code (poison-tolerant locks use
@@ -46,15 +47,12 @@ pub mod snapshot;
 pub mod wire;
 
 pub use admission::{AdmissionQueue, Job, Rejection, ReplyHandle};
-pub use chaos::{CampaignConfig, ChaosCampaignReport, ChaosConfig, ChaosMix, ChaosPlan};
-pub use engine::{
-    FaultInjector, InjectedFault, ServeEngine, TenantState, POISON_THRESHOLD, SERVE_ARS, SERVE_TDPS,
-};
+pub use chaos::CampaignConfig;
+pub use engine::{ServeEngine, SERVE_ARS, SERVE_TDPS};
 pub use pdn_workload::codec::DecodeError;
 pub use protocol::{
-    PdnId, PointSpec, Request, RequestBody, Response, ResponseBody, ServeDetail, ServeError,
-    PROTOCOL_VERSION,
+    PdnId, PointSpec, Request, RequestBody, Response, ResponseBody, ServeError, PROTOCOL_VERSION,
 };
-pub use server::{Client, ClientError, ServerHandle};
-pub use snapshot::{Snapshot, SnapshotError};
+pub use server::{Client, ServerHandle};
+pub use snapshot::Snapshot;
 pub use wire::FrameError;

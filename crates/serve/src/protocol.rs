@@ -7,7 +7,7 @@
 //!
 //! Errors cross the wire as [`ServeError`]: a stable
 //! [`ErrorCode`] plus the rendered message plus enough structure
-//! ([`ServeDetail`]) to rebuild the library's [`PdnError`] losslessly
+//! (`ServeDetail`) to rebuild the library's [`PdnError`] losslessly
 //! on the client side.
 
 use crate::wire::MAX_LIST;
@@ -22,29 +22,28 @@ use std::fmt;
 /// Protocol revision carried by every request.
 ///
 /// Version history:
-/// - `1` — initial protocol (PR 5).
+/// - `1` — initial protocol. No longer accepted: no client, snapshot or
+///   fixture writes it, and decoders reject it as an invalid version.
 /// - `2` — adds [`Request::deadline_ms`], [`ServeError::retry_after_ms`],
-///   and the resilience counters on [`ServerStats`]. Decoders accept
-///   both versions; version-1 bodies read back with the new fields at
-///   their defaults (no deadline, no retry hint, zero counters).
+///   and the resilience counters on [`ServerStats`].
 pub const PROTOCOL_VERSION: u16 = 2;
 
 /// The oldest protocol revision decoders still accept.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+pub(crate) const MIN_PROTOCOL_VERSION: u16 = 2;
 
-fn check_version(version: u16) -> Result<u16, DecodeError> {
+fn check_version(version: u16) -> Result<(), DecodeError> {
     if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        Ok(version)
+        Ok(())
     } else {
         Err(DecodeError::Invalid("protocol version"))
     }
 }
 
 /// Longest axis a sweep request may carry (per axis).
-pub const MAX_AXIS: usize = 64;
+pub(crate) const MAX_AXIS: usize = 64;
 
 /// Deepest [`ServeError`] cause chain accepted on decode.
-pub const MAX_ERROR_DEPTH: usize = 8;
+pub(crate) const MAX_ERROR_DEPTH: usize = 8;
 
 /// The five PDN topologies the daemon serves, by stable wire id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +67,7 @@ impl PdnId {
 
     /// The stable wire id.
     #[must_use]
-    pub fn to_wire(self) -> u8 {
+    pub(crate) fn to_wire(self) -> u8 {
         match self {
             PdnId::Ivr => 0,
             PdnId::Mbvr => 1,
@@ -83,7 +82,7 @@ impl PdnId {
     /// # Errors
     ///
     /// Returns [`DecodeError::BadTag`] for unknown ids.
-    pub fn from_wire(tag: u8) -> Result<Self, DecodeError> {
+    pub(crate) fn from_wire(tag: u8) -> Result<Self, DecodeError> {
         Self::ALL.get(tag as usize).copied().ok_or(DecodeError::BadTag { what: "pdn id", tag })
     }
 
@@ -140,7 +139,7 @@ impl PointSpec {
     /// A collision-free coalescing key: two specs with equal keys are
     /// the same operating point bit-for-bit.
     #[must_use]
-    pub fn key(&self) -> (u8, u64, u8, u64) {
+    pub(crate) fn key(&self) -> (u8, u64, u8, u64) {
         match *self {
             PointSpec::Active { tdp, workload, ar } => {
                 (0, tdp.to_bits(), workload.tag(), ar.to_bits())
@@ -341,10 +340,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// lengths, a protocol-version mismatch, or trailing bytes.
 pub fn decode_request(body: &[u8]) -> Result<Request, DecodeError> {
     let mut r = BodyReader::new(body);
-    let version = check_version(r.u16()?)?;
+    check_version(r.u16()?)?;
     let tenant = r.u32()?;
     let id = r.u64()?;
-    let deadline_ms = if version >= 2 { r.u32()? } else { 0 };
+    let deadline_ms = r.u32()?;
     let kind = r.u8()?;
     let body = match kind {
         0 => RequestBody::Ping,
@@ -491,7 +490,7 @@ impl ResponseBody {
 
 /// Encodes a [`PdnEvaluation`] field-by-field as IEEE-754 bit patterns.
 /// Shared by the protocol and the snapshot format.
-pub fn encode_evaluation(w: &mut BodyWriter, eval: &PdnEvaluation) {
+pub(crate) fn encode_evaluation(w: &mut BodyWriter, eval: &PdnEvaluation) {
     w.f64(eval.nominal_power.get());
     w.f64(eval.input_power.get());
     w.f64(eval.etee.get());
@@ -522,7 +521,7 @@ pub fn encode_evaluation(w: &mut BodyWriter, eval: &PdnEvaluation) {
 ///
 /// Returns a [`DecodeError`] on truncation or out-of-domain
 /// efficiencies.
-pub fn decode_evaluation(r: &mut BodyReader<'_>) -> Result<PdnEvaluation, DecodeError> {
+pub(crate) fn decode_evaluation(r: &mut BodyReader<'_>) -> Result<PdnEvaluation, DecodeError> {
     let nominal_power = Watts::new(r.f64()?);
     let input_power = Watts::new(r.f64()?);
     let etee = Efficiency::new(r.f64()?).map_err(|_| DecodeError::Invalid("etee"))?;
@@ -633,7 +632,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Returns a [`DecodeError`] on any malformed input.
 pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
     let mut r = BodyReader::new(body);
-    let version = check_version(r.u16()?)?;
+    check_version(r.u16()?)?;
     let id = r.u64()?;
     let kind = r.u8()?;
     let body = match kind {
@@ -667,26 +666,20 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
                 entries: r.u64()?,
                 capacity: r.u64()?,
             },
-            server: {
-                let mut server = ServerStats {
-                    requests: r.u64()?,
-                    coalesced: r.u64()?,
-                    tenants: r.u64()?,
-                    ..ServerStats::default()
-                };
-                if version >= 2 {
-                    server.shed = r.u64()?;
-                    server.deadline_expired = r.u64()?;
-                    server.panics = r.u64()?;
-                    server.quarantined = r.u64()?;
-                    server.evictions = r.u64()?;
-                }
-                server
+            server: ServerStats {
+                requests: r.u64()?,
+                coalesced: r.u64()?,
+                tenants: r.u64()?,
+                shed: r.u64()?,
+                deadline_expired: r.u64()?,
+                panics: r.u64()?,
+                quarantined: r.u64()?,
+                evictions: r.u64()?,
             },
         },
         6 => ResponseBody::SnapshotDone { bytes: r.u64()?, entries: r.u64()? },
         7 => ResponseBody::ShuttingDown,
-        0xFF => ResponseBody::Error(ServeError::decode(&mut r, version, 0)?),
+        0xFF => ResponseBody::Error(ServeError::decode(&mut r, 0)?),
         tag => return Err(DecodeError::BadTag { what: "response kind", tag }),
     };
     r.finish()?;
@@ -696,7 +689,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
 /// The structured remainder of a [`ServeError`]: exactly enough to
 /// rebuild the library error losslessly.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ServeDetail {
+pub(crate) enum ServeDetail {
     /// A leaf error carrying only its code and rendered message
     /// (regulator and unit errors, or errors decoded from a foreign
     /// peer). Rebuilds as [`PdnError::Wire`].
@@ -740,7 +733,7 @@ pub struct ServeError {
     /// codes never carry a hint.
     pub retry_after_ms: Option<u32>,
     /// Structure for lossless reconstruction.
-    pub detail: ServeDetail,
+    pub(crate) detail: ServeDetail,
 }
 
 impl ServeError {
@@ -840,19 +833,15 @@ impl ServeError {
         }
     }
 
-    fn decode(r: &mut BodyReader<'_>, version: u16, depth: usize) -> Result<Self, DecodeError> {
+    fn decode(r: &mut BodyReader<'_>, depth: usize) -> Result<Self, DecodeError> {
         if depth > MAX_ERROR_DEPTH {
             return Err(DecodeError::BadLength { what: "error cause chain", len: depth });
         }
         let code = ErrorCode::from_wire(r.u16()?);
         let message = r.str("error message")?;
-        let retry_after_ms = if version >= 2 {
-            match r.u32()? {
-                0 => None,
-                ms => Some(ms),
-            }
-        } else {
-            None
+        let retry_after_ms = match r.u32()? {
+            0 => None,
+            ms => Some(ms),
         };
         let detail = match r.u8()? {
             0 => ServeDetail::Opaque,
@@ -868,7 +857,7 @@ impl ServeError {
                     tag => return Err(DecodeError::BadTag { what: "lattice pdn option", tag }),
                 };
                 let point = r.str("lattice point")?;
-                let cause = Box::new(Self::decode(r, version, depth + 1)?);
+                let cause = Box::new(Self::decode(r, depth + 1)?);
                 ServeDetail::Lattice { pdn, point, cause }
             }
             tag => return Err(DecodeError::BadTag { what: "error detail", tag }),
@@ -978,48 +967,6 @@ mod tests {
         assert_eq!(rebuilt.code(), lib.code());
     }
 
-    /// A version-1 body (no deadline, no retry hint, short stats block)
-    /// must still decode, with the v2 fields at their defaults.
-    #[test]
-    fn version_1_bodies_still_decode() {
-        let mut w = BodyWriter::new();
-        w.u16(1); // version 1
-        w.u32(9); // tenant
-        w.u64(77); // id — no deadline field in v1
-        w.u8(0); // Ping
-        let req = decode_request(&w.into_bytes()).expect("v1 request decodes");
-        assert_eq!(req, Request { tenant: 9, id: 77, deadline_ms: 0, body: RequestBody::Ping });
-
-        let mut w = BodyWriter::new();
-        w.u16(1); // version 1
-        w.u64(77); // id
-        w.u8(0xFF); // Error
-        w.u16(ErrorCode::Overloaded.to_wire());
-        w.str("queue full"); // no retry_after field in v1
-        w.u8(0); // Opaque
-        let resp = decode_response(&w.into_bytes()).expect("v1 response decodes");
-        let ResponseBody::Error(err) = resp.body else { panic!("expected error body") };
-        assert_eq!(err.code, ErrorCode::Overloaded);
-        assert_eq!(err.retry_after_ms, None);
-
-        let mut w = BodyWriter::new();
-        w.u16(1); // version 1
-        w.u64(5); // id
-        w.u8(5); // Stats
-        for v in 0..6u64 {
-            w.u64(v); // tenant stats
-        }
-        w.u64(10);
-        w.u64(2);
-        w.u64(3); // v1 server stats end here
-        let resp = decode_response(&w.into_bytes()).expect("v1 stats decodes");
-        let ResponseBody::Stats { server, .. } = resp.body else { panic!("expected stats") };
-        assert_eq!(
-            server,
-            ServerStats { requests: 10, coalesced: 2, tenants: 3, ..ServerStats::default() }
-        );
-    }
-
     #[test]
     fn retry_after_hints_round_trip() {
         let err = ServeError::new(ErrorCode::Overloaded, "queue is 2s old").with_retry_after(350);
@@ -1036,10 +983,21 @@ mod tests {
         let mut trailing = body.clone();
         trailing.push(0);
         assert_eq!(decode_request(&trailing).unwrap_err(), DecodeError::Trailing(1));
-        let mut bad_version = body;
+        let mut bad_version = body.clone();
         bad_version[0] = 0xFE;
         assert_eq!(
             decode_request(&bad_version).unwrap_err(),
+            DecodeError::Invalid("protocol version")
+        );
+        // Protocol version 1 is retired: a v1 body (no deadline field) is
+        // refused by its version, not misread as v2.
+        let mut v1 = BodyWriter::new();
+        v1.u16(1);
+        v1.u32(9); // tenant
+        v1.u64(77); // id
+        v1.u8(0); // Ping
+        assert_eq!(
+            decode_request(&v1.into_bytes()).unwrap_err(),
             DecodeError::Invalid("protocol version")
         );
     }

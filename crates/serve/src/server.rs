@@ -31,7 +31,7 @@ const READ_POLL: Duration = Duration::from_millis(50);
 
 /// Maps a request-decode failure onto the wire error it is reported as.
 #[must_use]
-pub fn decode_failure(err: &DecodeError) -> ServeError {
+pub(crate) fn decode_failure(err: &DecodeError) -> ServeError {
     let code = match err {
         DecodeError::Invalid("protocol version") => ErrorCode::Unsupported,
         _ => ErrorCode::Protocol,

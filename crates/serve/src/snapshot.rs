@@ -31,10 +31,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Snapshot magic: the ASCII bytes `PDNW` read as a little-endian `u32`.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"PDNW");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"PDNW");
 
 /// Snapshot format revision.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Upper bound on one firmware image inside a snapshot.
 const MAX_FIRMWARE: usize = 1 << 20;
@@ -209,13 +209,13 @@ pub fn generation_path(path: &Path, n: usize) -> PathBuf {
 ///
 /// Returns a [`SnapshotError`] on I/O failure (the temp file is
 /// removed on every failure path).
-pub fn write_file(path: &Path, snap: &Snapshot) -> Result<u64, SnapshotError> {
+pub(crate) fn write_file(path: &Path, snap: &Snapshot) -> Result<u64, SnapshotError> {
     let bytes = encode(snap);
     write_atomic(path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 
-/// [`write_file`] plus versioned rotation: before the new snapshot
+/// `write_file` plus versioned rotation: before the new snapshot
 /// lands on `path`, the existing generations shift down
 /// (`path.{keep-2}` → `path.{keep-1}`, …, `path` → `path.1`), keeping
 /// at most `keep` generations in total. A corrupt latest snapshot

@@ -22,27 +22,27 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Frame magic: the ASCII bytes `PDNS` read as a little-endian `u32`.
-pub const MAGIC: u32 = u32::from_le_bytes(*b"PDNS");
+pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"PDNS");
 
 /// Hard upper bound on one frame's body, protecting the daemon from a
 /// hostile or corrupted length prefix. Large sweep responses fit with
 /// room to spare.
-pub const MAX_BODY: usize = 4 << 20;
+pub(crate) const MAX_BODY: usize = 4 << 20;
 
 /// Bytes of framing overhead around a body (magic + length + CRC).
-pub const OVERHEAD: usize = 12;
+pub(crate) const OVERHEAD: usize = 12;
 
 /// Longest list the protocol accepts (rails, surface values).
-pub const MAX_LIST: usize = 8192;
+pub(crate) const MAX_LIST: usize = 8192;
 
 /// Why a frame could not be read or decoded.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameError {
     /// Fewer bytes than the header or the declared body length.
     Truncated,
-    /// The first four bytes are not [`MAGIC`].
+    /// The first four bytes are not `MAGIC`.
     BadMagic(u32),
-    /// The declared body length exceeds [`MAX_BODY`].
+    /// The declared body length exceeds `MAX_BODY`.
     Oversized(usize),
     /// The body failed its CRC-32 check.
     ChecksumMismatch {
@@ -166,7 +166,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
 /// # Errors
 ///
 /// Propagates transport errors.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
+pub(crate) fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
     w.write_all(&encode_frame(body))?;
     w.flush()?;
     Ok(())

@@ -203,49 +203,6 @@ impl Curve1 {
     }
 }
 
-/// Incremental builder for [`Curve1`].
-///
-/// # Examples
-///
-/// ```
-/// use pdn_units::Curve1Builder;
-///
-/// let mut b = Curve1Builder::new();
-/// b.push(0.8e9, 0.55).push(4.0e9, 1.1);
-/// let vf = b.build()?;
-/// assert!((vf.eval(2.4e9) - 0.825).abs() < 1e-9);
-/// # Ok::<(), pdn_units::UnitsError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Curve1Builder {
-    points: Vec<(f64, f64)>,
-}
-
-impl Curve1Builder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a knot. Knots may be pushed in any order; they are sorted at
-    /// build time (duplicate abscissae still fail validation).
-    pub fn push(&mut self, x: f64, y: f64) -> &mut Self {
-        self.points.push((x, y));
-        self
-    }
-
-    /// Builds the curve, consuming the builder (no buffer copies).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Curve1::from_points`].
-    pub fn build(self) -> Result<Curve1, UnitsError> {
-        let mut pts = self.points;
-        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Curve1::from_points(pts)
-    }
-}
-
 /// A two-dimensional bilinear surface on a rectilinear grid.
 ///
 /// Values are stored row-major: `values[r * cols + c]` is the value at
@@ -334,25 +291,6 @@ impl Grid2 {
         })
     }
 
-    /// Builds a grid by evaluating `f(row, col)` at every lattice point.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Grid2::from_rows`].
-    pub fn tabulate(
-        rows: Vec<f64>,
-        cols: Vec<f64>,
-        mut f: impl FnMut(f64, f64) -> f64,
-    ) -> Result<Self, UnitsError> {
-        let mut values = Vec::with_capacity(rows.len() * cols.len());
-        for &r in &rows {
-            for &c in &cols {
-                values.push(f(r, c));
-            }
-        }
-        Self::from_rows(rows, cols, values)
-    }
-
     /// Evaluates the surface at `(row, col)` with bilinear interpolation,
     /// clamping both coordinates to the grid domain.
     pub fn eval(&self, row: f64, col: f64) -> f64 {
@@ -406,42 +344,6 @@ impl Grid2 {
     }
 }
 
-/// Incremental builder for [`Grid2`] that collects one full row at a time.
-#[derive(Debug, Clone, Default)]
-pub struct Grid2Builder {
-    cols: Vec<f64>,
-    rows: Vec<f64>,
-    values: Vec<f64>,
-}
-
-impl Grid2Builder {
-    /// Creates a builder with a fixed column axis.
-    pub fn new(cols: Vec<f64>) -> Self {
-        Self { cols, rows: Vec::new(), values: Vec::new() }
-    }
-
-    /// Appends one row of values at row-coordinate `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the column-axis length.
-    pub fn push_row(&mut self, row: f64, values: &[f64]) -> &mut Self {
-        assert_eq!(values.len(), self.cols.len(), "row length must match column axis");
-        self.rows.push(row);
-        self.values.extend_from_slice(values);
-        self
-    }
-
-    /// Builds the grid, consuming the builder (no buffer copies).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Grid2::from_rows`].
-    pub fn build(self) -> Result<Grid2, UnitsError> {
-        Grid2::from_rows(self.rows, self.cols, self.values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,14 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sorts_knots() {
-        let mut b = Curve1Builder::new();
-        b.push(3.0, 30.0).push(1.0, 10.0).push(2.0, 20.0);
-        let c = b.build().unwrap();
-        assert_eq!(c.eval(1.5), 15.0);
-    }
-
-    #[test]
     fn map_y_transforms_values() {
         let c = Curve1::from_points([(0.0, 1.0), (1.0, 2.0)]).unwrap();
         let doubled = c.map_y(|y| 2.0 * y).unwrap();
@@ -529,17 +423,16 @@ mod tests {
 
     #[test]
     fn hinted_grid_eval_matches_fresh_grid() {
-        let g = |hint_state: &Grid2, r: f64, c: f64| hint_state.eval(r, c);
-        let warm =
-            Grid2::tabulate(vec![1.0, 2.0, 4.0, 8.0], vec![0.1, 0.4, 0.9], |r, c| r * c + 1.0)
-                .unwrap();
+        let (rows, cols) = (vec![1.0, 2.0, 4.0, 8.0], vec![0.1, 0.4, 0.9]);
+        let values: Vec<f64> =
+            rows.iter().flat_map(|&r| cols.iter().map(move |&c| r * c + 1.0)).collect();
+        let grid = || Grid2::from_rows(rows.clone(), cols.clone(), values.clone()).unwrap();
+        let warm = grid();
         for &(r, c) in
             &[(3.0, 0.5), (1.5, 0.2), (7.9, 0.85), (0.0, 1.0), (9.0, 0.0), (3.0, 0.5), (2.0, 0.4)]
         {
-            let cold =
-                Grid2::tabulate(vec![1.0, 2.0, 4.0, 8.0], vec![0.1, 0.4, 0.9], |r, c| r * c + 1.0)
-                    .unwrap();
-            assert_eq!(g(&warm, r, c).to_bits(), cold.eval(r, c).to_bits(), "eval({r}, {c})");
+            let cold = grid();
+            assert_eq!(warm.eval(r, c).to_bits(), cold.eval(r, c).to_bits(), "eval({r}, {c})");
         }
     }
 
@@ -563,27 +456,5 @@ mod tests {
         assert_eq!(g.eval(2.0, 2.0), 2.0);
         assert_eq!(g.shape(), (2, 2));
         assert_eq!(g.table_entries(), 4);
-    }
-
-    #[test]
-    fn grid_tabulate_matches_function_at_knots() {
-        let g = Grid2::tabulate(vec![1.0, 2.0, 3.0], vec![10.0, 20.0], |r, c| r * c).unwrap();
-        assert_eq!(g.eval(2.0, 20.0), 40.0);
-        assert_eq!(g.eval(3.0, 10.0), 30.0);
-    }
-
-    #[test]
-    fn grid_builder_accumulates_rows() {
-        let mut b = Grid2Builder::new(vec![0.4, 0.8]);
-        b.push_row(4.0, &[0.7, 0.72]).push_row(50.0, &[0.8, 0.84]);
-        let g = b.build().unwrap();
-        assert!((g.eval(27.0, 0.6) - 0.765).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "row length")]
-    fn grid_builder_rejects_ragged_rows() {
-        let mut b = Grid2Builder::new(vec![0.4, 0.8]);
-        b.push_row(4.0, &[0.7]);
     }
 }

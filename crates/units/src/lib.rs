@@ -26,15 +26,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod curve;
-pub mod error;
-pub mod interp;
-pub mod quantity;
-pub mod ratio;
+pub(crate) mod curve;
+pub(crate) mod error;
+pub(crate) mod interp;
+pub(crate) mod quantity;
+pub(crate) mod ratio;
 
-pub use curve::{Curve1, Curve1Builder, Grid2, Grid2Builder};
+pub use curve::{Curve1, Grid2};
 pub use error::UnitsError;
 pub use interp::bilinear;
 pub use quantity::{Amps, Celsius, Hertz, Ohms, Seconds, SquareMillimeters, Usd, Volts, Watts};

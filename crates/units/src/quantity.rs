@@ -264,12 +264,6 @@ impl Hertz {
         Self::new(ghz * 1e9)
     }
 
-    /// Returns the value in megahertz.
-    #[inline]
-    pub fn megahertz(self) -> f64 {
-        self.get() * 1e-6
-    }
-
     /// Returns the value in gigahertz.
     #[inline]
     pub fn gigahertz(self) -> f64 {
@@ -417,7 +411,6 @@ mod tests {
     fn unit_conversions() {
         assert!((Volts::from_millivolts(18.0).get() - 0.018).abs() < 1e-12);
         assert!((Ohms::from_milliohms(7.0).milliohms() - 7.0).abs() < 1e-12);
-        assert!((Hertz::from_gigahertz(4.0).megahertz() - 4000.0).abs() < 1e-9);
         assert!((Seconds::from_micros(94.0).millis() - 0.094).abs() < 1e-12);
         assert!((Watts::from_milliwatts(9.0).get() - 0.009).abs() < 1e-12);
     }

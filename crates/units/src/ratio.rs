@@ -45,16 +45,6 @@ impl Ratio {
         Ok(Self(value))
     }
 
-    /// Creates a ratio from a percentage (e.g. `Ratio::from_percent(45.0)`
-    /// is 0.45).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ratio::new`].
-    pub fn from_percent(pct: f64) -> Result<Self, UnitsError> {
-        Self::new(pct / 100.0)
-    }
-
     /// Returns the raw value.
     #[inline]
     pub const fn get(self) -> f64 {
@@ -65,12 +55,6 @@ impl Ratio {
     #[inline]
     pub fn percent(self) -> f64 {
         self.0 * 100.0
-    }
-
-    /// Returns the complement `1 - self`, saturating at zero.
-    #[inline]
-    pub fn complement(self) -> Ratio {
-        Ratio((1.0 - self.0).max(0.0))
     }
 }
 
@@ -120,9 +104,6 @@ impl Mul<f64> for Ratio {
 pub struct Efficiency(f64);
 
 impl Efficiency {
-    /// A perfect (lossless) conversion.
-    pub const PERFECT: Efficiency = Efficiency(1.0);
-
     /// Creates an efficiency.
     ///
     /// # Errors
@@ -137,15 +118,6 @@ impl Efficiency {
             return Err(UnitsError::OutOfRange { what: "efficiency", value, range: "(0, 1]" });
         }
         Ok(Self(value))
-    }
-
-    /// Creates an efficiency from a percentage (e.g. 88.0 → 0.88).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Efficiency::new`].
-    pub fn from_percent(pct: f64) -> Result<Self, UnitsError> {
-        Self::new(pct / 100.0)
     }
 
     /// Returns the raw value in `(0, 1]`.
@@ -339,13 +311,6 @@ mod tests {
         assert!(ApplicationRatio::new(0.0).is_err());
         assert!(ApplicationRatio::new(1.01).is_err());
         assert!(ApplicationRatio::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn ratio_complement_saturates() {
-        let r = Ratio::new(1.4).unwrap();
-        assert_eq!(r.complement(), Ratio::ZERO);
-        assert_eq!(Ratio::new(0.25).unwrap().complement().get(), 0.75);
     }
 
     #[test]

@@ -31,29 +31,24 @@ pub struct PhaseConfig {
     pub per_phase_fixed: Watts,
 }
 
-impl PhaseConfig {
-    /// A single-phase configuration.
-    pub fn single(resistance: Ohms, fixed: Watts) -> Self {
-        Self { max_phases: 1, per_phase_resistance: resistance, per_phase_fixed: fixed }
-    }
-}
+impl PhaseConfig {}
 
 /// Construction parameters for a [`BuckConverter`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuckParams {
     /// Regulator name (e.g. `"V_IN"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Physical placement.
-    pub placement: Placement,
+    pub(crate) placement: Placement,
     /// Supported input voltage range.
-    pub vin_range: (Volts, Volts),
+    pub(crate) vin_range: (Volts, Volts),
     /// Supported output voltage range.
-    pub vout_range: (Volts, Volts),
+    pub(crate) vout_range: (Volts, Volts),
     /// Minimum required `Vin − Vout` headroom. Buck converters need a
     /// substantial input/output difference (§2.2: ≥ 0.6 V at Vin = 1.8 V).
-    pub min_headroom: Volts,
+    pub(crate) min_headroom: Volts,
     /// Maximum electrically supported current.
-    pub iccmax: Amps,
+    pub(crate) iccmax: Amps,
     /// Controller + sensing quiescent loss at PS0 (phase-independent part).
     pub base_fixed_loss: Watts,
     /// Effective switching-loss voltage drop per ampere at `vin_ref`.
@@ -71,7 +66,7 @@ impl BuckParams {
     ///
     /// Returns [`VrError::InvalidParameter`] when a field is non-positive
     /// or a range is inverted.
-    pub fn validate(&self) -> Result<(), VrError> {
+    pub(crate) fn validate(&self) -> Result<(), VrError> {
         let checks: [(&'static str, f64, bool); 7] = [
             ("iccmax", self.iccmax.get(), self.iccmax.get() > 0.0),
             ("base_fixed_loss", self.base_fixed_loss.get(), self.base_fixed_loss.get() > 0.0),
@@ -223,7 +218,7 @@ impl BuckConverter {
     ///
     /// Returns [`VrError::UnsupportedOperatingPoint`] when
     /// [`BuckConverter::check_point`] fails.
-    pub fn loss_at(&self, op: OperatingPoint) -> Result<Watts, VrError> {
+    pub(crate) fn loss_at(&self, op: OperatingPoint) -> Result<Watts, VrError> {
         self.check_point(op)?;
         let p = &self.params;
         let psf = op.power_state.fixed_loss_factor();
@@ -242,7 +237,7 @@ impl BuckConverter {
     ///
     /// Bit-identical to calling [`VoltageRegulator::input_power`] and
     /// [`VoltageRegulator::efficiency`] separately — the same operations in
-    /// the same order on a single [`BuckConverter::loss_at`] result — but
+    /// the same order on a single `BuckConverter::loss_at` result — but
     /// the loss model (operating-point check, phase optimisation, loss
     /// terms) runs once instead of twice. The hot per-rail path of a sweep
     /// wants both numbers, so the pairing is worth a dedicated entry point.

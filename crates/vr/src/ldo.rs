@@ -132,7 +132,7 @@ impl LdoRegulator {
     ///
     /// Returns [`VrError::UnsupportedOperatingPoint`] when `Vout > Vin`
     /// (an LDO cannot boost).
-    pub fn mode_for(&self, op: OperatingPoint) -> Result<LdoMode, VrError> {
+    pub(crate) fn mode_for(&self, op: OperatingPoint) -> Result<LdoMode, VrError> {
         if op.vout > op.vin {
             return Err(VrError::UnsupportedOperatingPoint {
                 regulator: self.name.clone(),

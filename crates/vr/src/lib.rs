@@ -36,17 +36,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod buck;
+pub(crate) mod buck;
 pub mod ldo;
-pub mod powergate;
+pub(crate) mod powergate;
 pub mod presets;
 pub mod table;
-pub mod tob;
+pub(crate) mod tob;
 mod traits;
 
-pub use buck::{BuckConverter, BuckParams, PhaseConfig};
+pub use buck::BuckConverter;
 pub use ldo::{LdoMode, LdoRegulator};
 pub use powergate::PowerGate;
 pub use table::{CompiledSurface, EfficiencySurface};

@@ -61,7 +61,7 @@ impl VrPowerState {
 
     /// The fraction of the PS0 fixed (quiescent) loss that remains in this
     /// state. Deeper states shed controller and gate-drive overheads.
-    pub fn fixed_loss_factor(self) -> f64 {
+    pub(crate) fn fixed_loss_factor(self) -> f64 {
         match self {
             VrPowerState::Ps0 => 1.0,
             VrPowerState::Ps1 => 0.22,
@@ -113,13 +113,13 @@ impl fmt::Display for VrPowerState {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Input voltage to the regulator.
-    pub vin: Volts,
+    pub(crate) vin: Volts,
     /// Regulated output voltage.
-    pub vout: Volts,
+    pub(crate) vout: Volts,
     /// Load (output) current.
-    pub iout: Amps,
+    pub(crate) iout: Amps,
     /// VR power state.
-    pub power_state: VrPowerState,
+    pub(crate) power_state: VrPowerState,
 }
 
 impl OperatingPoint {

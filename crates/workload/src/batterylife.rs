@@ -89,11 +89,11 @@ impl fmt::Display for BatteryLifeWorkload {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidencyProfile {
     /// Active (minimum-frequency) residency.
-    pub c0min: Ratio,
+    pub(crate) c0min: Ratio,
     /// Display-refresh memory-access residency.
-    pub c2: Ratio,
+    pub(crate) c2: Ratio,
     /// Deep-idle residency.
-    pub c8: Ratio,
+    pub(crate) c8: Ratio,
 }
 
 impl ResidencyProfile {

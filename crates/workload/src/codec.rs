@@ -9,7 +9,7 @@
 //!
 //! * [`crc32`] — CRC-32 (IEEE 802.3, reflected), the integrity trailer
 //!   of every format;
-//! * [`Fnv1a`] / [`fnv1a64`] — 64-bit FNV-1a, the deterministic
+//! * [`Fnv1a`] / `fnv1a64` — 64-bit FNV-1a, the deterministic
 //!   fingerprint behind memo keys, quarantine keys and checkpoint
 //!   bindings;
 //! * [`BodyWriter`] / [`BodyReader`] — the little-endian cursor pair:
@@ -107,7 +107,7 @@ impl Default for Fnv1a {
 }
 
 /// 64-bit FNV-1a over `data` in one call.
-pub fn fnv1a64(data: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.bytes(data);
     h.finish()
@@ -161,7 +161,7 @@ impl std::error::Error for DecodeError {}
 
 /// Longest string [`BodyReader::str`] accepts (error messages, PDN
 /// names).
-pub const MAX_STR: usize = 4096;
+pub(crate) const MAX_STR: usize = 4096;
 
 /// Append-only little-endian writer. Infallible: bounds are enforced
 /// on decode.
@@ -316,7 +316,7 @@ impl<'a> BodyReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a length-prefixed UTF-8 string (bounded by [`MAX_STR`]).
+    /// Reads a length-prefixed UTF-8 string (bounded by `MAX_STR`).
     pub fn str(&mut self, what: &'static str) -> Result<String, DecodeError> {
         let len = self.list_len(what, MAX_STR)?;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| DecodeError::Utf8)

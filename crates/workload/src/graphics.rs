@@ -6,28 +6,17 @@
 //! (§7.1). These profiles carry the per-benchmark application ratio and
 //! graphics-frequency scalability.
 
-use crate::trace::{Trace, TraceInterval, WorkloadType};
-use pdn_units::{ApplicationRatio, Ratio, Seconds};
+use pdn_units::{ApplicationRatio, Ratio};
 
 /// A graphics benchmark profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphicsBenchmark {
     /// Benchmark name (3DMark06 sub-test or game workload).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Performance scalability with graphics frequency.
     pub perf_scalability: Ratio,
     /// Application ratio of the graphics engines.
     pub ar: ApplicationRatio,
-}
-
-impl GraphicsBenchmark {
-    /// Produces a steady-state graphics trace of the benchmark.
-    pub fn as_trace(&self, duration: Seconds) -> Trace {
-        Trace::new(
-            self.name,
-            vec![TraceInterval::active(duration, WorkloadType::Graphics, self.ar)],
-        )
-    }
 }
 
 const GRAPHICS_TABLE: [(&str, f64, f64); 6] = [
@@ -69,10 +58,6 @@ mod tests {
     fn suite_is_nonempty_and_graphics_typed() {
         let suite = threedmark06();
         assert_eq!(suite.len(), 6);
-        for b in &suite {
-            let t = b.as_trace(Seconds::new(1.0));
-            assert_eq!(t.dominant_type(), Some(WorkloadType::Graphics));
-        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * [`spec`] — the 29 SPEC CPU2006 benchmarks of Fig. 7, with the figure's
 //!   ascending performance-scalability ordering.
 //! * [`graphics`] — 3DMark06-style graphics workloads (Fig. 8b).
-//! * [`batterylife`] — the four battery-life workloads of Fig. 8c with the
-//!   §5/§7 residency profiles.
-//! * [`trace`] — the interval-trace representation consumed by the runtime
-//!   simulator.
-//! * [`synthetic`] — seeded random trace generation and power-virus traces.
+//! * [`BatteryLifeWorkload`] — the four battery-life workloads of Fig. 8c
+//!   with the §5/§7 residency profiles.
+//! * [`Trace`] — the interval-trace representation consumed by the
+//!   runtime simulator.
+//! * [`TraceGenerator`] — seeded random trace generation.
 //! * [`zoo`] — deterministic realistic trace scenarios (server bursts,
 //!   frame-locked gaming, ML inference, thermally-throttled mobile).
 //! * [`tracefile`] — the crash-tolerant chunked binary trace-file format
@@ -37,19 +37,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod batterylife;
+pub(crate) mod batterylife;
 pub mod codec;
 pub mod graphics;
 pub mod spec;
-pub mod synthetic;
-pub mod trace;
+pub(crate) mod synthetic;
+pub(crate) mod trace;
 pub mod tracefile;
 pub mod zoo;
 
-pub use batterylife::{BatteryLifeWorkload, ResidencyProfile};
-pub use graphics::GraphicsBenchmark;
+pub use batterylife::BatteryLifeWorkload;
+
 pub use spec::SpecBenchmark;
 pub use synthetic::TraceGenerator;
 pub use trace::{Phase, Trace, TraceInterval, WorkloadType};

@@ -32,12 +32,6 @@ impl SpecBenchmark {
             vec![TraceInterval::active(duration, WorkloadType::SingleThread, self.ar)],
         )
     }
-
-    /// A crude memory-intensity proxy: the complement of scalability
-    /// (memory-bound benchmarks gain little from frequency).
-    pub fn memory_intensity(&self) -> Ratio {
-        self.perf_scalability.complement()
-    }
 }
 
 /// `(name, performance scalability, application ratio)` in Fig. 7's
@@ -96,22 +90,6 @@ pub fn spec_cpu2006() -> Vec<SpecBenchmark> {
         .collect()
 }
 
-/// Multi-programmed pairs: two single-thread benchmarks run together, one
-/// per core (the paper's ~1200 multi-programmed traces). The pair's AR is
-/// the mean of the members' and its scalability the minimum (the slower-
-/// scaling member gates throughput).
-pub fn multiprogrammed_pairs() -> Vec<(String, SpecBenchmark, SpecBenchmark)> {
-    let suite = spec_cpu2006();
-    let mut pairs = Vec::new();
-    // Pair i with (28 − i): mixes memory-bound with compute-bound.
-    for i in 0..suite.len() / 2 {
-        let a = suite[i].clone();
-        let b = suite[suite.len() - 1 - i].clone();
-        pairs.push((format!("{}+{}", a.name, b.name), a, b));
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,25 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_intensity_is_scalability_complement() {
-        let milc = &spec_cpu2006()[0];
-        assert!((milc.memory_intensity().get() - 0.63).abs() < 1e-12);
-    }
-
-    #[test]
     fn trace_conversion_is_single_threaded() {
         let b = &spec_cpu2006()[5];
         let t = b.as_trace(Seconds::new(1.0));
         assert_eq!(t.dominant_type(), Some(WorkloadType::SingleThread));
         assert_eq!(t.mean_active_ar(), Some(b.ar));
-    }
-
-    #[test]
-    fn multiprogrammed_pairs_mix_scalabilities() {
-        let pairs = multiprogrammed_pairs();
-        assert_eq!(pairs.len(), 14);
-        let (name, a, b) = &pairs[0];
-        assert_eq!(name, "433.milc+416.gamess");
-        assert!(a.perf_scalability < b.perf_scalability);
     }
 }

@@ -14,35 +14,6 @@ use pdn_units::{ApplicationRatio, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The power-virus trace: the most computationally intensive workload
-/// possible (AR = 1), used to size guardbands and Iccmax.
-pub fn power_virus(workload_type: WorkloadType, duration: Seconds) -> Trace {
-    Trace::new(
-        format!("power-virus-{workload_type}"),
-        vec![TraceInterval::active(duration, workload_type, ApplicationRatio::POWER_VIRUS)],
-    )
-}
-
-/// A fully idle trace in the given package C-state.
-pub fn idle(state: PackageCState, duration: Seconds) -> Trace {
-    Trace::new(format!("idle-{state}"), vec![TraceInterval::idle(duration, state)])
-}
-
-/// Evenly spaced AR sweep traces of one workload type — the Fig. 4 x-axis
-/// (AR from 40 % to 80 %).
-pub fn ar_sweep(workload_type: WorkloadType, ar_percents: &[f64], duration: Seconds) -> Vec<Trace> {
-    ar_percents
-        .iter()
-        .map(|&pct| {
-            let ar = ApplicationRatio::from_percent(pct).expect("sweep AR must be valid");
-            Trace::new(
-                format!("{workload_type}-ar{pct:.0}"),
-                vec![TraceInterval::active(duration, workload_type, ar)],
-            )
-        })
-        .collect()
-}
-
 /// Deterministic random generator of phase-structured workloads.
 ///
 /// # Examples
@@ -60,15 +31,15 @@ pub fn ar_sweep(workload_type: WorkloadType, ar_percents: &[f64], duration: Seco
 pub struct TraceGenerator {
     seed: u64,
     /// Probability that an interval is active (vs idle).
-    pub active_probability: f64,
+    pub(crate) active_probability: f64,
     /// AR range for active intervals.
-    pub ar_range: (f64, f64),
+    pub(crate) ar_range: (f64, f64),
     /// Interval duration range in milliseconds.
-    pub duration_range_ms: (f64, f64),
+    pub(crate) duration_range_ms: (f64, f64),
     /// Workload types to draw from for active intervals.
-    pub types: Vec<WorkloadType>,
+    pub(crate) types: Vec<WorkloadType>,
     /// Idle states to draw from for idle intervals.
-    pub idle_states: Vec<PackageCState>,
+    pub(crate) idle_states: Vec<PackageCState>,
 }
 
 impl TraceGenerator {
@@ -91,12 +62,6 @@ impl TraceGenerator {
     /// Restricts the generator to one workload type.
     pub fn with_type(mut self, t: WorkloadType) -> Self {
         self.types = vec![t];
-        self
-    }
-
-    /// Sets the AR range for active intervals.
-    pub fn with_ar_range(mut self, lo: f64, hi: f64) -> Self {
-        self.ar_range = (lo, hi);
         self
     }
 
@@ -151,23 +116,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn power_virus_has_ar_one() {
-        let t = power_virus(WorkloadType::MultiThread, Seconds::new(1.0));
-        assert_eq!(t.mean_active_ar(), Some(ApplicationRatio::POWER_VIRUS));
-    }
-
-    #[test]
-    fn ar_sweep_covers_requested_points() {
-        let traces = ar_sweep(
-            WorkloadType::SingleThread,
-            &[40.0, 50.0, 60.0, 70.0, 80.0],
-            Seconds::new(1.0),
-        );
-        assert_eq!(traces.len(), 5);
-        assert!((traces[2].mean_active_ar().unwrap().get() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn generator_is_deterministic() {
         let a = TraceGenerator::new(7).generate("a", 50);
         let b = TraceGenerator::new(7).generate("b", 50);
@@ -180,13 +128,12 @@ mod tests {
     fn generator_respects_configuration() {
         let t = TraceGenerator::new(1)
             .with_type(WorkloadType::Graphics)
-            .with_ar_range(0.5, 0.6)
             .with_active_probability(1.0)
             .generate("gfx", 40);
         assert!((t.active_residency().get() - 1.0).abs() < 1e-12);
         assert_eq!(t.dominant_type(), Some(WorkloadType::Graphics));
         let ar = t.mean_active_ar().unwrap().get();
-        assert!((0.5..=0.6).contains(&ar));
+        assert!((0.4..=0.8).contains(&ar));
     }
 
     #[test]
@@ -195,11 +142,5 @@ mod tests {
         assert_eq!(family.len(), 5);
         assert_ne!(family[0].intervals(), family[1].intervals());
         assert_eq!(family[0].name(), "val-000");
-    }
-
-    #[test]
-    fn idle_trace_is_fully_idle() {
-        let t = idle(PackageCState::C8, Seconds::new(2.0));
-        assert_eq!(t.active_residency().get(), 0.0);
     }
 }

@@ -67,17 +67,6 @@ impl WorkloadType {
             DomainKind::Gfx => matches!(self, WorkloadType::Graphics),
         }
     }
-
-    /// The fraction of the compute power budget allocated to the CPU cores
-    /// (the rest goes to graphics). §7.1: graphics workloads give the cores
-    /// 10–20 %; CPU workloads give graphics nothing.
-    pub fn core_budget_share(self) -> Ratio {
-        let share = match self {
-            WorkloadType::Graphics => 0.15,
-            _ => 1.0,
-        };
-        Ratio::new(share).expect("static share is valid")
-    }
 }
 
 impl fmt::Display for WorkloadType {
@@ -119,7 +108,7 @@ impl Phase {
     /// Whether this phase counts as active (C0) residency. The C0MIN
     /// state — active at minimum frequency — counts (§5: R_C0MIN is an
     /// active residency).
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         match self {
             Phase::Active { .. } => true,
             Phase::Idle(state) => state.is_active(),
@@ -139,16 +128,16 @@ pub struct TraceInterval {
 impl TraceInterval {
     /// An active interval.
     ///
-    /// The duration is trusted; use [`TraceInterval::try_active`] for
-    /// values from an external toolchain or a decoded trace file.
+    /// The duration is trusted: it is not validated here (trace files are
+    /// validated when they are written and read).
     pub fn active(duration: Seconds, workload_type: WorkloadType, ar: ApplicationRatio) -> Self {
         Self { duration, phase: Phase::Active { workload_type, ar } }
     }
 
     /// An idle interval in `state`.
     ///
-    /// The duration is trusted; use [`TraceInterval::try_idle`] for
-    /// values from an external toolchain or a decoded trace file.
+    /// The duration is trusted: it is not validated here (trace files are
+    /// validated when they are written and read).
     pub fn idle(duration: Seconds, state: PackageCState) -> Self {
         Self { duration, phase: Phase::Idle(state) }
     }
@@ -164,7 +153,7 @@ impl TraceInterval {
     ///
     /// Returns [`UnitsError::NotFinite`] or [`UnitsError::OutOfRange`]
     /// when the duration is NaN, infinite, or negative.
-    pub fn try_active(
+    pub(crate) fn try_active(
         duration: Seconds,
         workload_type: WorkloadType,
         ar: ApplicationRatio,
@@ -181,7 +170,7 @@ impl TraceInterval {
     ///
     /// Returns [`UnitsError::NotFinite`] or [`UnitsError::OutOfRange`]
     /// when the duration is NaN, infinite, or negative.
-    pub fn try_idle(duration: Seconds, state: PackageCState) -> Result<Self, UnitsError> {
+    pub(crate) fn try_idle(duration: Seconds, state: PackageCState) -> Result<Self, UnitsError> {
         let interval = Self::idle(duration, state);
         interval.validate()?;
         Ok(interval)
@@ -196,7 +185,7 @@ impl TraceInterval {
     /// # Errors
     ///
     /// Returns the first violated invariant as a typed [`UnitsError`].
-    pub fn validate(&self) -> Result<(), UnitsError> {
+    pub(crate) fn validate(&self) -> Result<(), UnitsError> {
         let d = self.duration.get();
         if !d.is_finite() {
             return Err(UnitsError::NotFinite { what: "trace interval duration" });
@@ -250,28 +239,10 @@ pub struct Trace {
 impl Trace {
     /// Creates a trace.
     ///
-    /// Intervals are trusted; use [`Trace::try_new`] for intervals from
-    /// an external toolchain or a decoded trace file.
+    /// Intervals are trusted: they are not validated here (trace files
+    /// are validated when they are written and read).
     pub fn new(name: impl Into<String>, intervals: Vec<TraceInterval>) -> Self {
         Self { name: name.into(), intervals }
-    }
-
-    /// Creates a trace after validating every interval
-    /// ([`TraceInterval::validate`]): non-finite or negative durations
-    /// and out-of-range application ratios are typed errors, never
-    /// panics downstream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first interval's violation as a typed [`UnitsError`].
-    pub fn try_new(
-        name: impl Into<String>,
-        intervals: Vec<TraceInterval>,
-    ) -> Result<Self, UnitsError> {
-        for interval in &intervals {
-            interval.validate()?;
-        }
-        Ok(Self { name: name.into(), intervals })
     }
 
     /// The trace name.
@@ -319,7 +290,8 @@ impl Trace {
 
     /// The dominant workload type by active time, if the trace has any
     /// active interval.
-    pub fn dominant_type(&self) -> Option<WorkloadType> {
+    #[cfg(test)]
+    pub(crate) fn dominant_type(&self) -> Option<WorkloadType> {
         use std::collections::BTreeMap;
         let mut time: BTreeMap<WorkloadType, f64> = BTreeMap::new();
         for i in &self.intervals {
@@ -331,17 +303,8 @@ impl Trace {
     }
 
     /// Appends another trace's intervals (sequential composition).
-    pub fn extend(&mut self, other: &Trace) {
+    pub(crate) fn extend(&mut self, other: &Trace) {
         self.intervals.extend_from_slice(&other.intervals);
-    }
-
-    /// Repeats this trace `n` times.
-    pub fn repeat(&self, n: usize) -> Trace {
-        let mut intervals = Vec::with_capacity(self.intervals.len() * n);
-        for _ in 0..n {
-            intervals.extend_from_slice(&self.intervals);
-        }
-        Trace::new(format!("{}x{n}", self.name), intervals)
     }
 }
 
@@ -364,12 +327,6 @@ mod tests {
         for t in WorkloadType::ACTIVE_TYPES {
             assert!(t.domain_powered(Sa) && t.domain_powered(Io) && t.domain_powered(Llc));
         }
-    }
-
-    #[test]
-    fn graphics_gives_cores_a_small_share() {
-        assert!((WorkloadType::Graphics.core_budget_share().get() - 0.15).abs() < 1e-12);
-        assert_eq!(WorkloadType::SingleThread.core_budget_share(), Ratio::ONE);
     }
 
     #[test]
@@ -399,18 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_multiplies_duration() {
-        let t = Trace::new(
-            "frame",
-            vec![TraceInterval::idle(Seconds::from_millis(16.7), PackageCState::C8)],
-        );
-        let movie = t.repeat(100);
-        assert_eq!(movie.intervals().len(), 100);
-        assert!((movie.total_duration().millis() - 1670.0).abs() < 1e-6);
-        assert_eq!(movie.name(), "framex100");
-    }
-
-    #[test]
     fn invalid_durations_are_typed_errors() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-12] {
             let d = Seconds::new(bad);
@@ -425,15 +370,6 @@ mod tests {
         assert!(
             TraceInterval::try_active(Seconds::new(0.01), WorkloadType::Graphics, ar(0.7)).is_ok()
         );
-    }
-
-    #[test]
-    fn try_new_rejects_the_first_bad_interval() {
-        let good = TraceInterval::idle(Seconds::new(1.0), PackageCState::C8);
-        let bad = TraceInterval::idle(Seconds::new(f64::NAN), PackageCState::C8);
-        assert!(Trace::try_new("ok", vec![good, good]).is_ok());
-        let err = Trace::try_new("bad", vec![good, bad]).unwrap_err();
-        assert!(matches!(err, UnitsError::NotFinite { .. }), "{err:?}");
     }
 
     #[test]

@@ -45,24 +45,22 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// File magic: `"PDNT"` interpreted as a little-endian `u32`.
-pub const FILE_MAGIC: u32 = u32::from_le_bytes(*b"PDNT");
+pub(crate) const FILE_MAGIC: u32 = u32::from_le_bytes(*b"PDNT");
 /// Chunk-frame magic: `"CHNK"`.
-pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"CHNK");
+pub(crate) const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"CHNK");
 /// Footer magic: `"TEND"`.
-pub const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"TEND");
+pub(crate) const FOOTER_MAGIC: u32 = u32::from_le_bytes(*b"TEND");
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Bytes per interval inside a chunk payload (u64 duration bits +
 /// u8 phase tag + u64 AR bits).
 pub const BYTES_PER_INTERVAL: usize = 17;
-/// Default chunk capacity in intervals (~68 KiB payloads).
-pub const DEFAULT_CHUNK_INTERVALS: usize = 4096;
 /// Hard upper bound on the per-chunk interval count; payloads that
 /// declare more are [`ChunkDefect::Oversized`]. Bounds reader memory at
 /// ~1.1 MiB regardless of what the file claims.
 pub const MAX_CHUNK_INTERVALS: usize = 1 << 16;
 /// Longest permitted trace name in the header.
-pub const MAX_NAME: usize = 4096;
+pub(crate) const MAX_NAME: usize = 4096;
 
 /// Fixed payload prefix: `first_index` (u64) + `count` (u32).
 const CHUNK_PREFIX: usize = 12;
@@ -123,7 +121,7 @@ pub enum ChunkDefect {
         /// What was wrong.
         what: &'static str,
     },
-    /// A decoded interval fails [`TraceInterval::validate`] — e.g. a NaN
+    /// A decoded interval fails `TraceInterval::validate` — e.g. a NaN
     /// duration or an out-of-range application ratio smuggled in via raw
     /// bits.
     InvalidInterval {
@@ -156,7 +154,7 @@ pub enum ChunkDefect {
 
 impl ChunkDefect {
     /// The taxonomy bucket this defect belongs to.
-    pub fn kind(&self) -> DefectKind {
+    pub(crate) fn kind(&self) -> DefectKind {
         match self {
             ChunkDefect::Truncated { .. } => DefectKind::Truncated,
             ChunkDefect::BadMagic { .. } => DefectKind::BadMagic,
@@ -227,7 +225,7 @@ pub enum DefectKind {
 
 impl DefectKind {
     /// Every bucket, in declaration order.
-    pub const ALL: [DefectKind; 9] = [
+    pub(crate) const ALL: [DefectKind; 9] = [
         DefectKind::Truncated,
         DefectKind::BadMagic,
         DefectKind::Oversized,
@@ -272,7 +270,7 @@ impl DefectCounts {
     }
 
     /// Records one defect.
-    pub fn record(&mut self, defect: &ChunkDefect) {
+    pub(crate) fn record(&mut self, defect: &ChunkDefect) {
         self.counts[defect.kind().index()] += 1;
     }
 
@@ -419,7 +417,7 @@ fn decode_cstate(tag: u8) -> Option<PackageCState> {
 /// Streaming trace-file writer: buffers intervals into fixed-capacity
 /// chunks, CRC-trails each chunk, and closes the stream with a footer.
 ///
-/// Every pushed interval is validated ([`TraceInterval::validate`]), so
+/// Every pushed interval is validated (`TraceInterval::validate`), so
 /// a file this writer produces never contains an interval the reader
 /// would quarantine.
 #[derive(Debug)]
@@ -469,7 +467,7 @@ impl<W: Write> TraceFileWriter<W> {
     ///
     /// [`TraceFileError::Invalid`] if the interval violates trace
     /// invariants; [`TraceFileError::Io`] on write failure.
-    pub fn push(&mut self, interval: TraceInterval) -> Result<(), TraceFileError> {
+    pub(crate) fn push(&mut self, interval: TraceInterval) -> Result<(), TraceFileError> {
         interval.validate()?;
         self.pending.push(interval);
         self.total_intervals += 1;
@@ -485,7 +483,7 @@ impl<W: Write> TraceFileWriter<W> {
     /// # Errors
     ///
     /// Same conditions as [`TraceFileWriter::push`].
-    pub fn push_trace(&mut self, trace: &Trace) -> Result<(), TraceFileError> {
+    pub(crate) fn push_trace(&mut self, trace: &Trace) -> Result<(), TraceFileError> {
         for interval in trace.intervals() {
             self.push(*interval)?;
         }
@@ -509,7 +507,7 @@ impl<W: Write> TraceFileWriter<W> {
     /// # Errors
     ///
     /// [`TraceFileError::Io`] on write or flush failure.
-    pub fn finish(mut self) -> Result<W, TraceFileError> {
+    pub(crate) fn finish(mut self) -> Result<W, TraceFileError> {
         self.flush_chunk()?;
         let footer = encode_footer(self.total_intervals, self.total_duration);
         self.sink.write_all(&footer)?;
@@ -567,18 +565,18 @@ fn encode_frame(magic: u32, payload: &[u8]) -> Vec<u8> {
 
 /// Parsed, CRC-verified file header.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceFileHeader {
+pub(crate) struct TraceFileHeader {
     /// Format version.
-    pub version: u16,
+    pub(crate) version: u16,
     /// Reserved flag bits (zero today).
-    pub flags: u16,
+    pub(crate) flags: u16,
     /// Chunk capacity the writer used.
-    pub chunk_capacity: u32,
+    pub(crate) chunk_capacity: u32,
     /// Trace name.
-    pub name: String,
+    pub(crate) name: String,
     /// FNV-1a fingerprint of the raw header bytes — binds checkpoints
     /// to this file.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
 }
 
 /// Bounded-memory streaming reader over a chunked trace file.
@@ -679,7 +677,7 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// The verified header.
-    pub fn header(&self) -> &TraceFileHeader {
+    pub(crate) fn header(&self) -> &TraceFileHeader {
         &self.header
     }
 
@@ -694,7 +692,7 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Chunks decoded and emitted intact so far.
-    pub fn chunks_ok(&self) -> u64 {
+    pub(crate) fn chunks_ok(&self) -> u64 {
         self.chunks_ok
     }
 
@@ -714,7 +712,7 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Whether a valid footer frame was seen.
-    pub fn footer_seen(&self) -> bool {
+    pub(crate) fn footer_seen(&self) -> bool {
         self.footer_seen
     }
 
@@ -1115,7 +1113,7 @@ pub struct ReadSummary {
     /// Chunks decoded intact.
     pub chunks_ok: u64,
     /// Chunks quarantined.
-    pub chunks_quarantined: u64,
+    pub(crate) chunks_quarantined: u64,
     /// Intervals known lost to quarantined frames.
     pub intervals_lost: u64,
     /// Whether a valid footer closed the stream.
@@ -1127,7 +1125,7 @@ pub struct ReadSummary {
 /// # Errors
 ///
 /// Same conditions as [`TraceFileWriter::new`] and
-/// [`TraceFileWriter::push`].
+/// `TraceFileWriter::push`.
 pub fn encode_trace(trace: &Trace, chunk_capacity: usize) -> Result<Vec<u8>, TraceFileError> {
     let mut writer = TraceFileWriter::new(Vec::new(), trace.name(), chunk_capacity)?;
     writer.push_trace(trace)?;
@@ -1139,7 +1137,7 @@ pub fn encode_trace(trace: &Trace, chunk_capacity: usize) -> Result<Vec<u8>, Tra
 /// # Errors
 ///
 /// Same conditions as [`TraceFileWriter::new`] and
-/// [`TraceFileWriter::push`], plus file-creation I/O errors.
+/// `TraceFileWriter::push`, plus file-creation I/O errors.
 pub fn write_trace_chunked(
     path: impl AsRef<Path>,
     trace: &Trace,
@@ -1239,7 +1237,7 @@ mod tests {
     #[test]
     fn round_trip_generated_trace() {
         let trace = TraceGenerator::new(42).generate("gen", 500);
-        let bytes = encode_trace(&trace, DEFAULT_CHUNK_INTERVALS).unwrap();
+        let bytes = encode_trace(&trace, 4096).unwrap();
         let (decoded, _) = decode_trace(&bytes, DefectPolicy::Strict).unwrap();
         assert_eq!(decoded, trace);
     }

@@ -1,7 +1,7 @@
 //! A zoo of realistic trace scenarios for trace-file tooling and
 //! benchmarks.
 //!
-//! The synthetic generators in [`crate::synthetic`] draw i.i.d. random
+//! The synthetic generators in `crate::synthetic` draw i.i.d. random
 //! intervals; real power traces have structure — bursts, frame locks,
 //! thermal sawtooths (§7 of the paper; PAPERS.md arXiv:2605.17182).
 //! Each [`ZooScenario`] synthesises one such structure deterministically
@@ -70,7 +70,7 @@ pub enum ZooScenario {
 
 impl ZooScenario {
     /// Every scenario, in declaration order.
-    pub const ALL: [ZooScenario; 4] = [
+    pub(crate) const ALL: [ZooScenario; 4] = [
         ZooScenario::ServerBurstIdle,
         ZooScenario::GamingFrameLocked,
         ZooScenario::MlInference,
@@ -189,7 +189,7 @@ impl ZooScenario {
     }
 }
 
-/// Concatenates every zoo scenario (in [`ZooScenario::ALL`] order) into
+/// Concatenates every zoo scenario (in `ZooScenario::ALL` order) into
 /// one mixed trace of `4 * intervals_per_scenario` intervals — the
 /// standard input for the trace-file bench and the CI trace-smoke job.
 pub fn zoo_mix(seed: u64, intervals_per_scenario: usize) -> Trace {
