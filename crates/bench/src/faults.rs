@@ -9,10 +9,7 @@
 //! machines: CI regenerates it and diffs against `results/faults.txt`.
 
 use crate::render::TextTable;
-use flexwatts::{
-    DegradationPolicy, FaultClass, FaultMix, FaultPlan, FlexWattsRuntime, ModePredictor,
-    RuntimeConfig,
-};
+use flexwatts::{FaultClass, FaultMix, FaultPlan, FlexWattsRuntime, ModePredictor, RuntimeConfig};
 use pdn_proc::client_soc;
 use pdn_units::{ApplicationRatio, Seconds, Watts};
 use pdn_workload::{Trace, TraceInterval, WorkloadType};
@@ -72,7 +69,6 @@ fn campaign_trace() -> Trace {
 pub fn campaign_report() -> Result<String, PdnError> {
     let rt = campaign_runtime()?;
     let trace = campaign_trace();
-    let policy = DegradationPolicy::default();
 
     let mut accounting = TextTable::new(
         format!("Fault campaign — seed {CAMPAIGN_SEED:#x}, 36 W burst/idle trace"),
@@ -101,7 +97,7 @@ pub fn campaign_report() -> Result<String, PdnError> {
 
     for (name, mix) in campaign_mixes() {
         let plan = FaultPlan::generate(CAMPAIGN_SEED, trace.intervals().len(), &mix);
-        let report = rt.run_faulted(&trace, &plan, &policy)?;
+        let report = rt.run_faulted(&trace, &plan)?;
         let c = report.counts;
         accounting.row(vec![
             name.to_string(),

@@ -4,34 +4,40 @@
 //! The paper's safety argument (§6) is that mode switching is
 //! voltage-noise-free and that the PMU's maximum-current protection —
 //! never the efficiency preference — has the last word on the shared
-//! `V_IN` rail. The clean-path simulator in `crate::runtime` exercises
-//! neither claim under adversity, so this module adds a seeded fault
-//! layer and the recovery contract that keeps the closed loop safe while
-//! faults land:
+//! `V_IN` rail. A clean run exercises neither claim under adversity, so
+//! this module adds a seeded fault layer and the recovery contract that
+//! keeps the closed loop safe while faults land:
 //!
 //! * a [`FaultPlan`] schedules faults per trace interval — stuck-at or
 //!   noisy activity sensors, dropped PMU telemetry, transient `V_IN`
 //!   droops that must trip the maximum-current protection, mode-switch
 //!   flow failures, and bit-flipped firmware images;
-//! * a [`DegradationPolicy`] defines how the runtime degrades: bounded
-//!   retry-with-backoff on switch failures, fallback to last-good sensor
-//!   readings, and a watchdog that latches the safe IVR-Mode after N
-//!   consecutive failed switch sequences instead of oscillating;
+//! * a fixed degradation contract: bounded retry-with-backoff on switch
+//!   failures (2 retries, 50 µs linear backoff), fallback to last-good
+//!   sensor readings behind a plausibility filter, and a watchdog that
+//!   latches the safe IVR-Mode after 3 consecutive failed switch
+//!   sequences instead of oscillating;
 //! * [`FlexWattsRuntime::run_faulted`] executes a campaign and returns a
 //!   [`FaultCampaignReport`] with injected/detected/recovered/degraded
-//!   counts and the safety invariants checked every interval.
+//!   counts and the safety invariants checked every chunk.
+//!
+//! A campaign runs the clean runtime's serial pass, the same
+//! `ReplayState::step` behind [`FlexWattsRuntime::run`] and
+//! [`crate::TraceReplayer`], with its fault state threaded through. The
+//! per-chunk protection guard is part of that shared pass, so clean runs
+//! obey it too, and an empty plan reproduces the clean report bit for
+//! bit.
 //!
 //! Everything is deterministic under the plan's seed (the same splitmix
 //! discipline as the activity sensors and the batch engine): the same
 //! seed and plan yield a bit-identical report, so fault campaigns are
 //! reproducible evidence, not flaky chaos tests.
 
-use crate::runtime::{FlexWattsRuntime, PreparedInterval, RuntimeReport};
+use crate::runtime::{FlexWattsRuntime, PreparedInterval, ReplayState, RuntimeReport};
 use crate::topology::PdnMode;
-use pdn_pmu::{CStateDriver, FirmwareImage};
-use pdn_proc::DomainKind;
+use pdn_pmu::{ActivitySensorBank, FirmwareImage};
 use pdn_units::{Amps, ApplicationRatio, Seconds};
-use pdn_workload::{Phase, Trace, WorkloadType};
+use pdn_workload::Trace;
 use pdnspot::batch::Workers;
 use pdnspot::PdnError;
 use std::collections::BTreeMap;
@@ -289,47 +295,25 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation policy
+// Degradation contract
 // ---------------------------------------------------------------------------
 
-/// The recovery contract the runtime follows when faults land.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationPolicy {
-    /// Retries granted to a failed mode-switch flow (beyond the first
-    /// attempt) before the decision is abandoned.
-    pub(crate) max_switch_retries: u32,
-    /// Linear backoff added before each retry (`attempt × backoff` of
-    /// normal execution in the current mode).
-    pub(crate) retry_backoff: Seconds,
-    /// Consecutive abandoned switch sequences after which the watchdog
-    /// latches the safe IVR-Mode instead of oscillating.
-    pub(crate) watchdog_threshold: u32,
-    /// Whether implausible/missing sensor readings fall back to the
-    /// last-good sample (the graceful path). When disabled, drops assume
-    /// the conservative full-activity reading and corrupt samples are
-    /// consumed raw.
-    pub(crate) sensor_fallback: bool,
-    /// A sensor reading jumping more than this from the last-good sample
-    /// is treated as implausible. Two consecutive consistent outliers are
-    /// accepted as a genuine workload change.
-    pub(crate) sensor_jump_threshold: f64,
-    /// Strict mode: instead of degrading gracefully, an abandoned switch
-    /// sequence aborts the campaign with [`PdnError::Degraded`].
-    pub(crate) strict: bool,
-}
+/// Retries granted to a failed mode-switch flow (beyond the first
+/// attempt) before the decision is abandoned.
+const SWITCH_RETRIES: u32 = 2;
 
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            max_switch_retries: 2,
-            retry_backoff: Seconds::from_micros(50.0),
-            watchdog_threshold: 3,
-            sensor_fallback: true,
-            sensor_jump_threshold: 0.35,
-            strict: false,
-        }
-    }
-}
+/// Linear backoff before each retry, in µs: `attempt ×` this of normal
+/// execution in the current mode.
+const RETRY_BACKOFF_MICROS: f64 = 50.0;
+
+/// Consecutive abandoned switch sequences after which the watchdog
+/// latches the safe IVR-Mode instead of oscillating.
+const WATCHDOG_THRESHOLD: u32 = 3;
+
+/// A sensor reading jumping more than this from the last-good sample is
+/// treated as implausible. Two consecutive consistent outliers are
+/// accepted as a genuine workload change.
+const SENSOR_JUMP_THRESHOLD: f64 = 0.35;
 
 // ---------------------------------------------------------------------------
 // Campaign report
@@ -511,33 +495,364 @@ impl ActiveFaults {
     }
 }
 
+/// A fault campaign's state beside the shared serial pass
+/// ([`ReplayState::step`]): the current interval's faults, the
+/// degradation contract's memory, the fault accounting, and the
+/// invariant ledgers. The ledgers are kept apart from the replay
+/// accumulators, so comparing the two checks the accumulators.
+pub(crate) struct Campaign {
+    seed: u64,
+    interval: usize,
+    faults: ActiveFaults,
+    /// Switch-flow faults arm once per interval; the counter depletes as
+    /// attempts fail.
+    pending_switch_failures: u32,
+    last_good: Option<ApplicationRatio>,
+    last_rejected: Option<f64>,
+    consecutive_failed_sequences: u32,
+    latched: bool,
+    switch_failures: u64,
+    switch_retries: u64,
+    counts: FaultCounts,
+    injected_by_class: BTreeMap<FaultClass, u64>,
+    /// Chunk energy per mode, indexed by [`PdnMode`].
+    mode_energy: [f64; 2],
+    /// C6 energy and time of switch flows and aborted attempts.
+    flow_energy: f64,
+    flow_time: Seconds,
+    backoff_energy: f64,
+    backoff_time: Seconds,
+    over_trip_chunks: u64,
+    over_trip_before: u64,
+    max_ldo_vin: Amps,
+}
+
+impl Campaign {
+    fn new(plan: &FaultPlan, n_intervals: usize) -> Self {
+        Self {
+            seed: plan.seed,
+            interval: 0,
+            faults: ActiveFaults::fold(&[]),
+            pending_switch_failures: 0,
+            last_good: None,
+            last_rejected: None,
+            consecutive_failed_sequences: 0,
+            latched: false,
+            switch_failures: 0,
+            switch_retries: 0,
+            counts: FaultCounts {
+                armed: plan.events().filter(|e| e.interval < n_intervals).count() as u64,
+                ..FaultCounts::default()
+            },
+            injected_by_class: FaultClass::ALL.iter().map(|&c| (c, 0)).collect(),
+            mode_energy: [0.0; 2],
+            flow_energy: 0.0,
+            flow_time: Seconds::ZERO,
+            backoff_energy: 0.0,
+            backoff_time: Seconds::ZERO,
+            over_trip_chunks: 0,
+            over_trip_before: 0,
+            max_ldo_vin: Amps::ZERO,
+        }
+    }
+
+    /// Counts `n` injected events of one class.
+    fn inject(&mut self, class: FaultClass, n: u64) {
+        self.counts.injected += n;
+        *self.injected_by_class.get_mut(&class).expect("class present") += n;
+    }
+
+    /// Arms interval `i`'s faults. Firmware faults land at once: the PMU
+    /// re-validates its flash copy. A `V_IN` droop is always an
+    /// electrical event seen by the rail telemetry.
+    fn arm(&mut self, rt: &FlexWattsRuntime, plan: &FaultPlan, i: usize) {
+        self.interval = i;
+        self.faults = ActiveFaults::fold(plan.at(i));
+        self.pending_switch_failures = self.faults.switch_attempts;
+        self.over_trip_before = self.over_trip_chunks;
+        for (offset, mask) in std::mem::take(&mut self.faults.firmware) {
+            self.inject(FaultClass::Firmware, 1);
+            let [ivr_img, ldo_img] = rt.predictor.firmware_images();
+            let target = if offset & 1 == 0 { &ivr_img } else { &ldo_img };
+            let mut bytes = target.as_bytes().to_vec();
+            let at = offset % bytes.len();
+            bytes[at] ^= mask;
+            if FirmwareImage::parse(&bytes).is_err() {
+                // CRC caught the flip; the runtime keeps its RAM tables
+                // (last-good) and execution continues at full function.
+                self.counts.detected += 1;
+                self.counts.recovered += 1;
+            } else {
+                self.counts.silent += 1;
+            }
+        }
+        let droops = self.faults.droop_events;
+        self.inject(FaultClass::VinDroop, droops);
+        self.counts.detected += droops;
+    }
+
+    /// Closes interval accounting after its chunks ran.
+    fn settle(&mut self) {
+        // Droop: recovered iff the protection kept every chunk of this
+        // interval below the trip point.
+        if self.over_trip_chunks == self.over_trip_before {
+            self.counts.recovered += self.faults.droop_events;
+        } else {
+            self.counts.degraded += self.faults.droop_events;
+        }
+        // A switch-flow fault that armed but never saw a switch attempt
+        // stays dormant. (Partially consumed arms collapse into the
+        // sequences already counted.)
+        if self.faults.switch_attempts == self.pending_switch_failures {
+            self.counts.dormant += self.faults.switch_events;
+        }
+    }
+
+    /// The PMU's accepted activity reading for an active interval: the
+    /// clean estimate corrupted by the interval's sensor faults, then
+    /// guarded. A dropped sample falls back to the last-good reading; a
+    /// reading that jumps implausibly is replaced by it, unless it
+    /// repeats (a genuine workload change).
+    pub(crate) fn sense(&mut self, clean: ApplicationRatio) -> ApplicationRatio {
+        let f = &self.faults;
+        let (sensor_events, telemetry_events) = (f.sensor_events, f.telemetry_events);
+        let mut reading = Some(f.stuck.unwrap_or(clean.get()));
+        if let Some(amplitude) = f.noise {
+            let h = hash3(self.seed ^ 0xBEEF, 7, self.interval as u64);
+            let noise = (to_unit(h) - 0.5) * 2.0 * amplitude;
+            reading = reading.map(|r| r + noise);
+        }
+        if f.drop {
+            reading = None;
+        }
+        let sensor_faulted = f.sensor_faulted();
+        self.inject(FaultClass::Sensor, sensor_events);
+        self.inject(FaultClass::Telemetry, telemetry_events);
+
+        let Some(raw) = reading else {
+            // A missing sample is always detected; sensor faults stacked
+            // under the drop never reached the PMU.
+            self.counts.detected += telemetry_events;
+            self.counts.recovered += telemetry_events;
+            self.counts.silent += sensor_events;
+            return self.last_good.unwrap_or(ApplicationRatio::POWER_VIRUS);
+        };
+        let clamped = raw.clamp(AR_FLOOR, 1.0);
+        let implausible =
+            self.last_good.is_some_and(|good| (clamped - good.get()).abs() > SENSOR_JUMP_THRESHOLD);
+        let consistent_outlier = implausible
+            && self
+                .last_rejected
+                .is_some_and(|prev| (clamped - prev).abs() <= SENSOR_JUMP_THRESHOLD / 2.0);
+        if implausible && !consistent_outlier {
+            // Guard tripped: fall back to last-good.
+            self.last_rejected = Some(clamped);
+            if sensor_faulted {
+                self.counts.detected += sensor_events;
+                self.counts.recovered += sensor_events;
+            } else {
+                self.counts.false_positives += 1;
+            }
+            return self.last_good.expect("implausible requires last_good");
+        }
+        // Accepted (possibly a consistent outlier = genuine workload
+        // change, possibly silent in-range corruption).
+        let accepted = ApplicationRatio::new(clamped).expect("clamped AR is valid");
+        self.last_rejected = None;
+        self.last_good = Some(accepted);
+        self.counts.silent += sensor_events;
+        accepted
+    }
+
+    /// An idle interval does not consult the sensor path: its scheduled
+    /// sensor and telemetry faults stay dormant.
+    pub(crate) fn sensor_idle(&mut self) {
+        self.counts.dormant += self.faults.sensor_events + self.faults.telemetry_events;
+    }
+
+    /// The `V_IN` current under the interval's droop: delivering the
+    /// same power at `factor`× the voltage pulls `1/factor`× the current.
+    pub(crate) fn effective_vin(&self, vin_ldo: Amps) -> Amps {
+        vin_ldo / self.faults.droop
+    }
+
+    /// Whether the watchdog latched the safe IVR-Mode.
+    pub(crate) fn latched(&self) -> bool {
+        self.latched
+    }
+
+    /// Moves `state` into `to`, retrying the interval's injected flow
+    /// failures with linear backoff. A protection-mandated switch runs
+    /// the hardened ROM flow, which injected flow faults cannot block.
+    /// After [`WATCHDOG_THRESHOLD`] consecutive abandoned sequences the
+    /// watchdog latches the safe IVR-Mode.
+    pub(crate) fn change_mode(
+        &mut self,
+        state: &mut ReplayState,
+        rt: &FlexWattsRuntime,
+        to: PdnMode,
+        hardened: bool,
+        prep: &PreparedInterval,
+    ) -> Result<(), PdnError> {
+        let mut attempt = 1;
+        while self.pending_switch_failures > 0 && !hardened {
+            self.pending_switch_failures -= 1;
+            self.switch_failures += 1;
+            if attempt > 1 {
+                self.switch_retries += 1;
+            }
+            // The aborted flow parks the package in C6 for its whole
+            // duration, at the old mode's C6 power.
+            let c6_power = rt.c6_power(state.mode)?;
+            let v_from = rt.vin_level(state.mode, prep);
+            let v_to = rt.vin_level(to, prep);
+            let lost = rt.switch_flow.execute_aborted(v_from, v_to, &mut state.driver);
+            state.energy += c6_power * lost;
+            state.oracle_energy += c6_power * lost;
+            state.total_time += lost;
+            self.record_flow(c6_power * lost, lost);
+            if attempt == 1 + SWITCH_RETRIES {
+                return self.abandon(state, rt, prep);
+            }
+            // Linear backoff before the next attempt, executing normally
+            // in the old mode.
+            let wait = Seconds::from_micros(RETRY_BACKOFF_MICROS) * attempt as f64;
+            let run_power = prep.power(state.mode);
+            state.energy += run_power * wait;
+            state.oracle_energy += prep.power_ivr.min(prep.power_ldo) * wait;
+            state.total_time += wait;
+            self.backoff_energy += run_power * wait;
+            self.backoff_time += wait;
+            attempt += 1;
+        }
+        if attempt > 1 {
+            // A retry absorbed the fault.
+            self.switch_retries += 1;
+            self.inject(FaultClass::SwitchFlow, 1);
+            self.counts.detected += 1;
+            self.counts.recovered += 1;
+        }
+        self.consecutive_failed_sequences = 0;
+        state.switch(rt, to, prep, Some(self))
+    }
+
+    /// Retries exhausted: the decision is abandoned, and the watchdog
+    /// may latch the safe IVR-Mode through the hardened flow.
+    fn abandon(
+        &mut self,
+        state: &mut ReplayState,
+        rt: &FlexWattsRuntime,
+        prep: &PreparedInterval,
+    ) -> Result<(), PdnError> {
+        self.inject(FaultClass::SwitchFlow, 1);
+        self.counts.detected += 1;
+        self.counts.degraded += 1;
+        self.consecutive_failed_sequences += 1;
+        if self.consecutive_failed_sequences >= WATCHDOG_THRESHOLD && !self.latched {
+            self.latched = true;
+            if state.mode != PdnMode::IvrMode {
+                state.switch(rt, PdnMode::IvrMode, prep, Some(self))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Records a switch flow's (or aborted attempt's) C6 charge.
+    pub(crate) fn record_flow(&mut self, energy: f64, time: Seconds) {
+        self.flow_energy += energy;
+        self.flow_time += time;
+    }
+
+    /// Records one execution chunk, checking the electrical invariant.
+    pub(crate) fn record_chunk(
+        &mut self,
+        rt: &FlexWattsRuntime,
+        mode: PdnMode,
+        energy: f64,
+        vin: Amps,
+    ) {
+        self.mode_energy[mode as usize] += energy;
+        if mode == PdnMode::LdoMode {
+            self.max_ldo_vin = self.max_ldo_vin.max(vin);
+            if rt.protection.would_trip(vin) {
+                self.over_trip_chunks += 1;
+            }
+        }
+    }
+
+    /// Reconciles the fault ledger and checks the accumulators in
+    /// `runtime` against the independent per-bucket ledgers.
+    fn report(mut self, mut runtime: RuntimeReport, trip: Amps) -> FaultCampaignReport {
+        // Reconcile armed vs injected/dormant for multi-event intervals
+        // (e.g. a switch event that fired alongside its sibling): any
+        // armed event not yet classified was dormant.
+        let classified = self.counts.injected + self.counts.dormant;
+        if self.counts.armed > classified {
+            self.counts.dormant += self.counts.armed - classified;
+        } else {
+            self.counts.armed = classified;
+        }
+
+        let energy = runtime.energy_joules;
+        let ledger_energy: f64 =
+            self.mode_energy.iter().sum::<f64>() + self.flow_energy + self.backoff_energy;
+        let energy_ledger_error = if energy.abs() > 0.0 {
+            ((energy - ledger_energy) / energy).abs()
+        } else {
+            ledger_energy.abs()
+        };
+        let ledger_time: Seconds = runtime.time_in_mode.values().copied().sum::<Seconds>()
+            + self.flow_time
+            + self.backoff_time;
+        let time_ledger_error = (runtime.total_time - ledger_time).abs().get();
+
+        let invariants = InvariantReport {
+            over_trip_chunks: self.over_trip_chunks,
+            max_ldo_vin_current: self.max_ldo_vin,
+            trip_current: trip,
+            energy_ledger_error,
+            time_ledger_error,
+            oracle_bounded: runtime.oracle_energy_joules <= energy + 1e-12,
+        };
+        runtime.switch_failures = self.switch_failures;
+        runtime.switch_retries = self.switch_retries;
+        FaultCampaignReport {
+            seed: self.seed,
+            runtime,
+            counts: self.counts,
+            injected_by_class: self.injected_by_class,
+            watchdog_latched: self.latched,
+            invariants,
+        }
+    }
+}
+
 impl FlexWattsRuntime {
-    /// Simulates a trace with the plan's faults injected and the policy's
-    /// recovery contract applied, checking the safety invariants on every
-    /// execution chunk.
+    /// Simulates a trace with the plan's faults injected and the
+    /// degradation contract applied, checking the safety invariants on
+    /// every execution chunk.
     ///
     /// Equivalent to [`run_faulted_with`](Self::run_faulted_with) on the
     /// full worker pool: the pure per-interval preparation fans out in
     /// parallel, while injection, detection, and recovery replay serially
     /// in trace order, so the report is bit-identical for any worker
-    /// choice and for repeated runs of the same `(plan, policy)`.
+    /// choice and for repeated runs of the same plan.
     ///
     /// # Errors
     ///
-    /// Propagates PDNspot evaluation errors; under a strict policy, also
-    /// returns
-    /// [`PdnError::Degraded`] when a switch sequence exhausts its
-    /// retries.
+    /// Propagates PDNspot evaluation errors.
     pub fn run_faulted(
         &self,
         trace: &Trace,
         plan: &FaultPlan,
-        policy: &DegradationPolicy,
     ) -> Result<FaultCampaignReport, PdnError> {
-        self.run_faulted_with(trace, plan, policy, Workers::Auto)
+        self.run_faulted_with(trace, plan, Workers::Auto)
     }
 
     /// [`run_faulted`](Self::run_faulted) with an explicit worker choice.
+    ///
+    /// The serial pass is the clean runtime's ([`FlexWattsRuntime::run`]),
+    /// so an empty plan reproduces the clean report bit for bit.
     ///
     /// # Errors
     ///
@@ -546,452 +861,23 @@ impl FlexWattsRuntime {
         &self,
         trace: &Trace,
         plan: &FaultPlan,
-        policy: &DegradationPolicy,
         workers: Workers,
     ) -> Result<FaultCampaignReport, PdnError> {
         let prepared = self.prepare_batch(trace.intervals(), workers)?;
-        let sensors = self.fresh_sensor_bank();
-        let n_intervals = trace.intervals().len();
-
-        // Campaign state.
-        let mut mode = self.config.initial_mode;
-        let mut energy = 0.0;
-        let mut oracle_energy = 0.0;
-        let mut switches = Vec::new();
-        let mut time_in_mode: BTreeMap<PdnMode, Seconds> =
-            PdnMode::ALL.iter().map(|&m| (m, Seconds::ZERO)).collect();
-        let mut driver = CStateDriver::new();
-        let mut evaluations = 0u64;
-        let mut correct_predictions = 0u64;
-        let mut protection_overrides = 0u64;
-        let mut total_time = Seconds::ZERO;
-        let eval_interval = self.predictor.evaluation_interval();
-        let mut since_eval = eval_interval; // evaluate at trace start
-
-        // Degradation state.
-        let mut last_good: Option<ApplicationRatio> = None;
-        let mut last_rejected: Option<f64> = None;
-        let mut consecutive_failed_sequences = 0u32;
-        let mut latched = false;
-        let mut switch_failures = 0u64;
-        let mut switch_retries = 0u64;
-
-        // Fault accounting.
-        let mut counts = FaultCounts::default();
-        let mut injected_by_class: BTreeMap<FaultClass, u64> =
-            FaultClass::ALL.iter().map(|&c| (c, 0)).collect();
-        counts.armed = plan.events().filter(|e| e.interval < n_intervals).count() as u64;
-
-        // Invariant ledgers (independent of the primary accumulators).
-        let mut mode_energy: BTreeMap<PdnMode, f64> =
-            PdnMode::ALL.iter().map(|&m| (m, 0.0)).collect();
-        let mut flow_energy = 0.0; // C6 power during switches/aborts
-        let mut backoff_energy = 0.0;
-        let mut flow_time = Seconds::ZERO;
-        let mut backoff_time = Seconds::ZERO;
-        let mut over_trip_chunks = 0u64;
-        let mut max_ldo_vin = Amps::ZERO;
-        let trip = self.protection.trip_current();
-
+        let sensors = ActivitySensorBank::new(self.config.sensor_seed);
+        let mut state = ReplayState::new(self);
+        let mut campaign = Campaign::new(plan, trace.intervals().len());
         for (i, (interval, prep)) in trace.intervals().iter().zip(&prepared).enumerate() {
-            let PreparedInterval { power_ivr, power_ldo, vin_ldo, estimated_type, .. } = *prep;
-            let faults = ActiveFaults::fold(plan.at(i));
-
-            // --- Firmware faults: the PMU re-validates its flash copy.
-            for &(offset, mask) in &faults.firmware {
-                counts.injected += 1;
-                *injected_by_class.get_mut(&FaultClass::Firmware).expect("class present") += 1;
-                let [ivr_img, ldo_img] = self.predictor.firmware_images();
-                let target = if offset & 1 == 0 { &ivr_img } else { &ldo_img };
-                let mut bytes = target.as_bytes().to_vec();
-                let at = offset % bytes.len();
-                bytes[at] ^= mask;
-                if FirmwareImage::parse(&bytes).is_err() {
-                    // CRC caught the flip; the runtime keeps its RAM
-                    // tables (last-good) and execution continues at full
-                    // function.
-                    counts.detected += 1;
-                    counts.recovered += 1;
-                } else {
-                    counts.silent += 1;
-                }
+            campaign.arm(self, plan, i);
+            if campaign.faults.droop_events > 0 {
+                // Force a prompt re-evaluation so the protection can act
+                // inside this interval.
+                state.since_eval = state.eval_interval;
             }
-
-            // --- Sensor path: draw, corrupt, guard.
-            let pmu_inputs = match interval.phase {
-                Phase::Active { ar, .. } => {
-                    let clean = sensors.estimate(DomainKind::Core0, ar);
-                    let mut reading: Option<f64> = Some(clean.get());
-                    if let Some(stuck) = faults.stuck {
-                        reading = Some(stuck);
-                    }
-                    if let Some(amplitude) = faults.noise {
-                        let h = hash3(plan.seed ^ 0xBEEF, 7, i as u64);
-                        let noise = (to_unit(h) - 0.5) * 2.0 * amplitude;
-                        reading = reading.map(|r| r + noise);
-                    }
-                    if faults.drop {
-                        reading = None;
-                    }
-                    counts.injected += faults.sensor_events + faults.telemetry_events;
-                    *injected_by_class.get_mut(&FaultClass::Sensor).expect("class present") +=
-                        faults.sensor_events;
-                    *injected_by_class.get_mut(&FaultClass::Telemetry).expect("class present") +=
-                        faults.telemetry_events;
-
-                    let accepted = match reading {
-                        None => {
-                            // A missing sample is always detected.
-                            counts.detected += faults.telemetry_events;
-                            if policy.sensor_fallback {
-                                counts.recovered += faults.telemetry_events;
-                                // Sensor faults stacked under the drop
-                                // never reached the PMU.
-                                counts.silent += faults.sensor_events;
-                                last_good.unwrap_or(ApplicationRatio::POWER_VIRUS)
-                            } else {
-                                counts.degraded += faults.telemetry_events;
-                                counts.silent += faults.sensor_events;
-                                ApplicationRatio::POWER_VIRUS
-                            }
-                        }
-                        Some(raw) => {
-                            let clamped = raw.clamp(AR_FLOOR, 1.0);
-                            let candidate =
-                                ApplicationRatio::new(clamped).expect("clamped AR is valid");
-                            let implausible = policy.sensor_fallback
-                                && last_good.is_some_and(|good| {
-                                    (clamped - good.get()).abs() > policy.sensor_jump_threshold
-                                });
-                            let consistent_outlier = implausible
-                                && last_rejected.is_some_and(|prev| {
-                                    (clamped - prev).abs() <= policy.sensor_jump_threshold / 2.0
-                                });
-                            if implausible && !consistent_outlier {
-                                // Guard tripped: fall back to last-good.
-                                last_rejected = Some(clamped);
-                                if faults.sensor_faulted() {
-                                    counts.detected += faults.sensor_events;
-                                    counts.recovered += faults.sensor_events;
-                                } else {
-                                    counts.false_positives += 1;
-                                }
-                                last_good.expect("implausible requires last_good")
-                            } else {
-                                // Accepted (possibly a consistent outlier
-                                // = genuine workload change, possibly
-                                // silent in-range corruption).
-                                last_rejected = None;
-                                last_good = Some(candidate);
-                                counts.silent +=
-                                    if faults.sensor_faulted() { faults.sensor_events } else { 0 };
-                                candidate
-                            }
-                        }
-                    };
-                    crate::predictor::PredictorInputs {
-                        tdp: self.soc.tdp,
-                        ar: accepted,
-                        workload_type: estimated_type,
-                        power_state: None,
-                    }
-                }
-                Phase::Idle(state) => {
-                    // The sensor path is not consulted while idle:
-                    // scheduled sensor/telemetry faults stay dormant.
-                    counts.dormant += faults.sensor_events + faults.telemetry_events;
-                    crate::predictor::PredictorInputs {
-                        tdp: self.soc.tdp,
-                        ar: interval.phase.ar(),
-                        workload_type: WorkloadType::BatteryLife,
-                        power_state: Some(state),
-                    }
-                }
-            };
-
-            // --- V_IN droop: always an electrical event, always seen by
-            // the rail telemetry; force a prompt re-evaluation so the
-            // protection can act inside this interval.
-            let droop = faults.droop;
-            if faults.droop_events > 0 {
-                counts.injected += faults.droop_events;
-                counts.detected += faults.droop_events;
-                *injected_by_class.get_mut(&FaultClass::VinDroop).expect("class present") +=
-                    faults.droop_events;
-                since_eval = eval_interval;
-            }
-            let effective_vin = vin_ldo / droop;
-            let over_trip_before = over_trip_chunks;
-
-            let oracle_power = power_ivr.min(power_ldo);
-            let oracle_mode =
-                if power_ivr <= power_ldo { PdnMode::IvrMode } else { PdnMode::LdoMode };
-
-            // Switch-flow faults arm once per interval; the counter
-            // depletes as attempts fail.
-            let mut pending_switch_failures = faults.switch_attempts;
-            let mut switch_fault_exercised = false;
-
-            let mut remaining = interval.duration;
-            while remaining.get() > 0.0 {
-                if since_eval >= eval_interval {
-                    since_eval = Seconds::ZERO;
-                    evaluations += 1;
-                    let mut decided = if latched {
-                        PdnMode::IvrMode
-                    } else {
-                        self.predictor.predict_with_hysteresis(pmu_inputs, mode)
-                    };
-                    let mut forced_by_protection = false;
-                    if self.config.max_current_protection
-                        && decided == PdnMode::LdoMode
-                        && self.protection.would_trip(effective_vin)
-                    {
-                        decided = PdnMode::IvrMode;
-                        forced_by_protection = true;
-                        protection_overrides += 1;
-                    }
-                    if decided == oracle_mode {
-                        correct_predictions += 1;
-                    }
-                    if decided != mode {
-                        let v_from = self.vin_level(mode, prep);
-                        let v_to = self.vin_level(decided, prep);
-                        let c6_power = self.c6_power(mode)?;
-                        // Protection-mandated switches run the hardened
-                        // ROM flow: electrical safety has the last word,
-                        // injected flow faults cannot block it.
-                        let budget = 1 + policy.max_switch_retries;
-                        let mut attempt = 0u32;
-                        let mut succeeded = false;
-                        while attempt < budget {
-                            attempt += 1;
-                            if pending_switch_failures > 0 && !forced_by_protection {
-                                pending_switch_failures -= 1;
-                                switch_fault_exercised = true;
-                                switch_failures += 1;
-                                if attempt > 1 {
-                                    switch_retries += 1;
-                                }
-                                // The aborted flow parks the package in
-                                // C6 for its whole duration.
-                                let lost =
-                                    self.switch_flow.execute_aborted(v_from, v_to, &mut driver);
-                                energy += c6_power * lost;
-                                oracle_energy += c6_power * lost;
-                                flow_energy += c6_power * lost;
-                                flow_time += lost;
-                                total_time += lost;
-                                // Linear backoff before the next attempt,
-                                // executing normally in the old mode.
-                                if attempt < budget {
-                                    let wait = policy.retry_backoff * attempt as f64;
-                                    let run_power = match mode {
-                                        PdnMode::IvrMode => power_ivr,
-                                        PdnMode::LdoMode => power_ldo,
-                                    };
-                                    energy += run_power * wait;
-                                    oracle_energy += oracle_power * wait;
-                                    backoff_energy += run_power * wait;
-                                    backoff_time += wait;
-                                    total_time += wait;
-                                }
-                                continue;
-                            }
-                            if attempt > 1 {
-                                switch_retries += 1;
-                            }
-                            let transition =
-                                self.switch_flow.execute(mode, decided, v_from, v_to, &mut driver);
-                            let switch_time = transition.total();
-                            let c6_power_new = self.c6_power(decided)?;
-                            energy += c6_power_new * switch_time;
-                            oracle_energy += c6_power_new * switch_time;
-                            flow_energy += c6_power_new * switch_time;
-                            flow_time += switch_time;
-                            total_time += switch_time;
-                            switches.push(transition);
-                            mode = decided;
-                            succeeded = true;
-                            break;
-                        }
-                        if succeeded {
-                            consecutive_failed_sequences = 0;
-                            if attempt > 1 && switch_fault_exercised {
-                                // A retry absorbed the fault.
-                                counts.recovered += 1;
-                                counts.detected += 1;
-                                counts.injected += 1;
-                                *injected_by_class
-                                    .get_mut(&FaultClass::SwitchFlow)
-                                    .expect("class present") += 1;
-                                switch_fault_exercised = false;
-                            }
-                        } else {
-                            // Retries exhausted: the decision is
-                            // abandoned.
-                            counts.injected += 1;
-                            counts.detected += 1;
-                            counts.degraded += 1;
-                            *injected_by_class
-                                .get_mut(&FaultClass::SwitchFlow)
-                                .expect("class present") += 1;
-                            switch_fault_exercised = false;
-                            consecutive_failed_sequences += 1;
-                            if policy.strict {
-                                return Err(PdnError::Degraded {
-                                    component: "FlexWattsRuntime".into(),
-                                    reason: format!(
-                                        "mode switch {mode} -> {decided} abandoned after {} \
-                                         attempts at interval {i}",
-                                        budget
-                                    ),
-                                });
-                            }
-                            if consecutive_failed_sequences >= policy.watchdog_threshold && !latched
-                            {
-                                // Watchdog: latch the safe IVR-Mode via
-                                // the hardened flow instead of
-                                // oscillating through further failures.
-                                latched = true;
-                                if mode != PdnMode::IvrMode {
-                                    let v_to_safe = self.vin_level(PdnMode::IvrMode, prep);
-                                    let transition = self.switch_flow.execute(
-                                        mode,
-                                        PdnMode::IvrMode,
-                                        v_from,
-                                        v_to_safe,
-                                        &mut driver,
-                                    );
-                                    let switch_time = transition.total();
-                                    let c6_power_safe = self.c6_power(PdnMode::IvrMode)?;
-                                    energy += c6_power_safe * switch_time;
-                                    oracle_energy += c6_power_safe * switch_time;
-                                    flow_energy += c6_power_safe * switch_time;
-                                    flow_time += switch_time;
-                                    total_time += switch_time;
-                                    switches.push(transition);
-                                    mode = PdnMode::IvrMode;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // --- Chunk-level electrical guard: the hardware
-                // protection loop is far faster than the 10 ms predictor
-                // loop; if the droop pushed the executing LDO-Mode over
-                // the trip point between evaluations, it re-routes to
-                // IVR-Mode immediately through the hardened flow.
-                if self.config.max_current_protection
-                    && mode == PdnMode::LdoMode
-                    && self.protection.would_trip(effective_vin)
-                {
-                    protection_overrides += 1;
-                    let v_from = self.vin_level(mode, prep);
-                    let v_to = self.vin_level(PdnMode::IvrMode, prep);
-                    let c6_power_safe = self.c6_power(PdnMode::IvrMode)?;
-                    let transition =
-                        self.switch_flow.execute(mode, PdnMode::IvrMode, v_from, v_to, &mut driver);
-                    let switch_time = transition.total();
-                    energy += c6_power_safe * switch_time;
-                    oracle_energy += c6_power_safe * switch_time;
-                    flow_energy += c6_power_safe * switch_time;
-                    flow_time += switch_time;
-                    total_time += switch_time;
-                    switches.push(transition);
-                    mode = PdnMode::IvrMode;
-                }
-
-                let chunk = remaining.min(eval_interval - since_eval).min(remaining);
-                let power = match mode {
-                    PdnMode::IvrMode => power_ivr,
-                    PdnMode::LdoMode => power_ldo,
-                };
-                if mode == PdnMode::LdoMode {
-                    max_ldo_vin = max_ldo_vin.max(effective_vin);
-                    if self.protection.would_trip(effective_vin) {
-                        over_trip_chunks += 1;
-                    }
-                }
-                energy += power * chunk;
-                oracle_energy += oracle_power * chunk;
-                *mode_energy.get_mut(&mode).expect("all modes present") += power * chunk;
-                *time_in_mode.get_mut(&mode).expect("all modes present") += chunk;
-                total_time += chunk;
-                since_eval += chunk;
-                remaining -= chunk;
-            }
-
-            // Droop accounting: recovered iff the protection kept every
-            // chunk of this interval below the trip point.
-            if faults.droop_events > 0 {
-                if over_trip_chunks == over_trip_before {
-                    counts.recovered += faults.droop_events;
-                } else {
-                    counts.degraded += faults.droop_events;
-                }
-            }
-            // A switch-flow fault that armed but never saw a switch
-            // attempt stays dormant. (Partially consumed arms collapse
-            // into the sequences already counted above.)
-            if faults.switch_events > 0 && faults.switch_attempts == pending_switch_failures {
-                counts.dormant += faults.switch_events;
-            }
+            state.step(self, &sensors, interval, prep, Some(&mut campaign))?;
+            campaign.settle();
         }
-
-        // Reconcile armed vs injected/dormant for multi-event intervals
-        // (e.g. a switch event that fired alongside its sibling): any
-        // armed event not yet classified was dormant.
-        let classified = counts.injected + counts.dormant;
-        if counts.armed > classified {
-            counts.dormant += counts.armed - classified;
-        } else {
-            counts.armed = classified;
-        }
-
-        let ledger_energy: f64 = mode_energy.values().sum::<f64>() + flow_energy + backoff_energy;
-        let energy_ledger_error = if energy.abs() > 0.0 {
-            ((energy - ledger_energy) / energy).abs()
-        } else {
-            ledger_energy.abs()
-        };
-        let ledger_time: Seconds =
-            time_in_mode.values().copied().sum::<Seconds>() + flow_time + backoff_time;
-        let time_ledger_error = (total_time - ledger_time).abs().get();
-
-        let invariants = InvariantReport {
-            over_trip_chunks,
-            max_ldo_vin_current: max_ldo_vin,
-            trip_current: trip,
-            energy_ledger_error,
-            time_ledger_error,
-            oracle_bounded: oracle_energy <= energy + 1e-12,
-        };
-
-        Ok(FaultCampaignReport {
-            seed: plan.seed,
-            runtime: RuntimeReport {
-                total_time,
-                energy_joules: energy,
-                oracle_energy_joules: oracle_energy,
-                switches,
-                time_in_mode,
-                predictor_evaluations: evaluations,
-                prediction_accuracy: if evaluations == 0 {
-                    1.0
-                } else {
-                    correct_predictions as f64 / evaluations as f64
-                },
-                protection_overrides,
-                switch_failures,
-                switch_retries,
-            },
-            counts,
-            injected_by_class,
-            watchdog_latched: latched,
-            invariants,
-        })
+        Ok(campaign.report(state.finish(), self.protection.trip_current()))
     }
 }
 
@@ -1022,7 +908,7 @@ mod tests {
     use crate::runtime::RuntimeConfig;
     use pdn_proc::client_soc;
     use pdn_units::Watts;
-    use pdn_workload::{BatteryLifeWorkload, TraceInterval};
+    use pdn_workload::{BatteryLifeWorkload, TraceInterval, WorkloadType};
     use pdnspot::ModelParams;
 
     fn predictor() -> ModePredictor {
@@ -1073,31 +959,53 @@ mod tests {
 
     #[test]
     fn empty_plan_matches_the_clean_run_bitwise() {
-        let trace = bursty_trace();
-        let clean = runtime(36.0).run(&trace).unwrap();
-        let report = runtime(36.0)
-            .run_faulted(&trace, &FaultPlan::new(1), &DegradationPolicy::default())
-            .unwrap();
-        assert_eq!(
-            clean.energy_joules.to_bits(),
-            report.runtime.energy_joules.to_bits(),
-            "no faults => identical energy"
-        );
-        assert_eq!(clean.switches.len(), report.runtime.switches.len());
-        assert_eq!(report.counts, FaultCounts::default());
-        assert!(report.invariants.holds(), "{}", report.invariants);
+        // Zoo traces interleave intervals shorter than the 10 ms
+        // evaluation interval, so at 36 and 50 W an interval whose LDO-Mode
+        // V_IN current is over the trip point starts between evaluations:
+        // only the per-chunk guard keeps it out of LDO-Mode.
+        let bursty = bursty_trace();
+        let zoo = pdn_workload::zoo_mix(1, 100);
+        // (TDP, trace, whether the guard must fire on it)
+        let cases = [
+            (36.0, &bursty, false),
+            (4.0, &zoo, false),
+            (18.0, &zoo, false),
+            (36.0, &zoo, true),
+            (50.0, &zoo, false),
+        ];
+        for (tdp, trace, guard_fires) in cases {
+            let rt = runtime(tdp);
+            let clean = rt.run(trace).unwrap();
+            let report = rt.run_faulted(trace, &FaultPlan::new(1)).unwrap();
+            let case = format!("{} at {tdp} W", trace.name());
+            assert_eq!(clean, report.runtime, "{case}: no faults => the clean report");
+            // Without faults nothing is armed or injected. The zoo's
+            // genuine workload changes still trip the sensor
+            // plausibility filter (false positives); the bursty trace's
+            // steady bursts never do.
+            let counts = if trace.name() == "bursty" {
+                report.counts
+            } else {
+                FaultCounts { false_positives: 0, ..report.counts }
+            };
+            assert_eq!(counts, FaultCounts::default(), "{case}");
+            assert!(report.invariants.holds(), "{case}: {}", report.invariants);
+            if guard_fires {
+                assert_eq!(report.invariants.over_trip_chunks, 0, "{case}");
+                assert!(clean.protection_overrides > 0, "{case}: the guard must fire");
+            }
+        }
     }
 
     #[test]
     fn campaigns_are_bit_reproducible() {
         let trace = BatteryLifeWorkload::VideoPlayback.as_trace(10);
         let plan = FaultPlan::generate(7, trace.intervals().len(), &FaultMix::chaos());
-        let policy = DegradationPolicy::default();
-        let a = runtime(18.0).run_faulted(&trace, &plan, &policy).unwrap();
-        let b = runtime(18.0).run_faulted(&trace, &plan, &policy).unwrap();
+        let a = runtime(18.0).run_faulted(&trace, &plan).unwrap();
+        let b = runtime(18.0).run_faulted(&trace, &plan).unwrap();
         assert_eq!(a, b, "same seed + plan must be bit-identical");
         // And independent of the worker pool.
-        let c = runtime(18.0).run_faulted_with(&trace, &plan, &policy, Workers::Fixed(4)).unwrap();
+        let c = runtime(18.0).run_faulted_with(&trace, &plan, Workers::Fixed(4)).unwrap();
         assert_eq!(a, c);
     }
 
@@ -1115,7 +1023,7 @@ mod tests {
             )],
         );
         let plan = FaultPlan::new(3).with_event(0, FaultKind::VinDroop { factor: 0.6 });
-        let report = rt.run_faulted(&trace, &plan, &DegradationPolicy::default()).unwrap();
+        let report = rt.run_faulted(&trace, &plan).unwrap();
         assert_eq!(report.invariants.over_trip_chunks, 0, "{}", report.invariants);
         assert!(report.invariants.holds());
         assert_eq!(report.counts.injected, 1);
@@ -1136,7 +1044,7 @@ mod tests {
             )],
         );
         let plan = FaultPlan::new(9).with_event(0, FaultKind::SwitchFailure { attempts: 1 });
-        let report = rt.run_faulted(&trace, &plan, &DegradationPolicy::default()).unwrap();
+        let report = rt.run_faulted(&trace, &plan).unwrap();
         assert_eq!(report.runtime.switch_failures, 1);
         assert_eq!(report.runtime.switch_retries, 1);
         assert_eq!(report.counts.recovered, 1);
@@ -1163,40 +1071,13 @@ mod tests {
             plan = plan.with_event(i, FaultKind::SwitchFailure { attempts: 100 });
         }
         let trace = Trace::new("doomed", intervals);
-        let policy = DegradationPolicy::default();
-        let report = rt.run_faulted(&trace, &plan, &policy).unwrap();
+        let report = rt.run_faulted(&trace, &plan).unwrap();
         assert!(report.watchdog_latched, "watchdog must latch: {:?}", report.counts);
-        assert!(report.counts.degraded >= policy.watchdog_threshold as u64);
+        assert!(report.counts.degraded >= WATCHDOG_THRESHOLD as u64);
         // Latched safe mode: the trace ends executing IVR-Mode and no
         // further switch sequences are attempted after the latch.
         assert!(report.runtime.time_in_mode[&PdnMode::IvrMode].get() > 0.0);
         assert!(report.invariants.holds(), "{}", report.invariants);
-    }
-
-    #[test]
-    fn strict_policy_turns_degradation_into_an_error() {
-        let rt = runtime(4.0);
-        let trace = Trace::new(
-            "steady",
-            vec![TraceInterval::active(
-                Seconds::from_millis(60.0),
-                WorkloadType::SingleThread,
-                ApplicationRatio::new(0.6).unwrap(),
-            )],
-        );
-        let plan = FaultPlan::new(5).with_event(0, FaultKind::SwitchFailure { attempts: 100 });
-        let err = rt
-            .run_faulted(
-                &trace,
-                &plan,
-                &DegradationPolicy { strict: true, ..DegradationPolicy::default() },
-            )
-            .unwrap_err();
-        assert!(
-            matches!(&err, PdnError::Degraded { component, .. }
-                if component == "FlexWattsRuntime"),
-            "{err}"
-        );
     }
 
     #[test]
@@ -1216,7 +1097,7 @@ mod tests {
         let plan = FaultPlan::new(21)
             .with_event(2, FaultKind::SensorStuck { ar: 0.05 })
             .with_event(4, FaultKind::TelemetryDrop);
-        let report = rt.run_faulted(&trace, &plan, &DegradationPolicy::default()).unwrap();
+        let report = rt.run_faulted(&trace, &plan).unwrap();
         assert_eq!(report.counts.injected, 2);
         assert_eq!(report.counts.detected, 2, "{:?}", report.counts);
         assert_eq!(report.counts.recovered, 2);
@@ -1237,7 +1118,7 @@ mod tests {
         );
         let plan = FaultPlan::new(33)
             .with_event(0, FaultKind::FirmwareBitFlip { offset: 1234, mask: 0x10 });
-        let report = rt.run_faulted(&trace, &plan, &DegradationPolicy::default()).unwrap();
+        let report = rt.run_faulted(&trace, &plan).unwrap();
         assert_eq!(report.injected_by_class[&FaultClass::Firmware], 1);
         assert_eq!(report.counts.detected, 1);
         assert_eq!(report.counts.recovered, 1);
@@ -1249,8 +1130,7 @@ mod tests {
         let trace = bursty_trace();
         for seed in [1u64, 2, 3] {
             let plan = FaultPlan::generate(seed, trace.intervals().len(), &FaultMix::chaos());
-            let report =
-                runtime(36.0).run_faulted(&trace, &plan, &DegradationPolicy::default()).unwrap();
+            let report = runtime(36.0).run_faulted(&trace, &plan).unwrap();
             assert!(report.counts.consistent(), "seed {seed}: {:?}", report.counts);
             assert!(report.invariants.holds(), "seed {seed}: {}", report.invariants);
             assert!(report.runtime.energy_efficiency_vs_oracle() <= 1.0 + 1e-12);

@@ -67,9 +67,7 @@ pub(crate) mod runtime;
 pub(crate) mod switchflow;
 pub mod topology;
 
-pub use faults::{
-    DegradationPolicy, FaultCampaignReport, FaultClass, FaultCounts, FaultMix, FaultPlan,
-};
+pub use faults::{FaultCampaignReport, FaultClass, FaultCounts, FaultMix, FaultPlan};
 pub use predictor::{ModePredictor, PredictorInputs};
 pub use protection::MaxCurrentProtection;
 pub use replay::{

@@ -410,7 +410,7 @@ impl<'rt> TraceReplayer<'rt> {
     pub fn feed(&mut self, intervals: &[TraceInterval]) -> Result<(), PdnError> {
         let prepared = self.rt.prepare_batch(intervals, self.workers)?;
         for (interval, prep) in intervals.iter().zip(&prepared) {
-            self.state.step(self.rt, &self.sensors, interval, prep)?;
+            self.state.step(self.rt, &self.sensors, interval, prep, None)?;
             self.intervals_done += 1;
         }
         Ok(())
@@ -722,9 +722,9 @@ mod tests {
         write_trace_chunked(&path, &trace, 32).unwrap();
 
         let rt = runtime(18.0);
-        // run() consumes the runtime's shared sensor bank from sample 0;
-        // the streaming replayer owns a fresh bank with the same seed,
-        // so both see the identical jitter stream.
+        // run() and the streaming replayer each draw from a fresh sensor
+        // bank with the same seed, so both see the identical jitter
+        // stream.
         let in_memory = rt.run(&trace).unwrap();
         let streamed = rt
             .run_streaming(&path, &ReplayFileOptions { batch_intervals: 17, ..Default::default() })

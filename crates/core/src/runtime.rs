@@ -8,6 +8,7 @@
 //! flow, paying its ≈ 94 µs of enforced idleness. Platform energy is
 //! integrated through PDNspot in whichever mode is active.
 
+use crate::faults::Campaign;
 use crate::predictor::{ModePredictor, PredictorInputs};
 use crate::protection::MaxCurrentProtection;
 use crate::switchflow::{ModeSwitchFlow, SwitchTransition};
@@ -134,6 +135,14 @@ impl PreparedInterval {
             estimated_type,
         }
     }
+
+    /// The interval's input power in `mode`.
+    pub(crate) fn power(&self, mode: PdnMode) -> Watts {
+        match mode {
+            PdnMode::IvrMode => self.power_ivr,
+            PdnMode::LdoMode => self.power_ldo,
+        }
+    }
 }
 
 /// Most intervals in one prepare tile: the unit
@@ -149,7 +158,6 @@ pub struct FlexWattsRuntime {
     pub(crate) ivr_mode: FlexWattsPdn,
     pub(crate) ldo_mode: FlexWattsPdn,
     pub(crate) predictor: ModePredictor,
-    sensors: ActivitySensorBank,
     pub(crate) switch_flow: ModeSwitchFlow,
     pub(crate) protection: MaxCurrentProtection,
     pub(crate) config: RuntimeConfig,
@@ -190,7 +198,6 @@ impl FlexWattsRuntime {
             ldo_mode,
             c6_power,
             idle,
-            sensors: ActivitySensorBank::new(config.sensor_seed),
             switch_flow: ModeSwitchFlow::new(),
             ivr_mode,
             protection,
@@ -328,34 +335,31 @@ impl FlexWattsRuntime {
     /// activity-sensor estimates (an ordered jitter stream), predictor
     /// hysteresis, and mode-switch accounting — then replays serially
     /// in trace order, which keeps the report bit-identical for any
-    /// [`Workers`] choice.
+    /// [`Workers`] choice. Every run draws from a freshly calibrated
+    /// sensor bank, so repeated runs of one trace are bit-identical
+    /// too.
     ///
     /// # Errors
     ///
     /// Propagates PDNspot evaluation errors.
     pub fn run_with(&self, trace: &Trace, workers: Workers) -> Result<RuntimeReport, PdnError> {
         let prepared = self.prepare_batch(trace.intervals(), workers)?;
+        let sensors = ActivitySensorBank::new(self.config.sensor_seed);
         let mut state = ReplayState::new(self);
         for (interval, prep) in trace.intervals().iter().zip(&prepared) {
-            state.step(self, &self.sensors, interval, prep)?;
+            state.step(self, &sensors, interval, prep, None)?;
         }
         Ok(state.finish())
-    }
-
-    /// A fresh activity-sensor bank calibrated with this runtime's seed:
-    /// fault campaigns draw from their own sensor stream so repeated
-    /// campaigns on one runtime stay bit-identical.
-    pub(crate) fn fresh_sensor_bank(&self) -> ActivitySensorBank {
-        ActivitySensorBank::new(self.config.sensor_seed)
     }
 }
 
 /// The serial, stateful half of a trace replay: sensor draws, predictor
 /// hysteresis, protection overrides, mode switches, and energy/time
-/// accounting. One implementation serves both [`FlexWattsRuntime::run_with`]
-/// and the streaming checkpointed replay ([`crate::replay`]) — sharing
-/// the loop is what makes a resumed streaming replay bitwise equal to an
-/// in-memory run.
+/// accounting. One implementation serves [`FlexWattsRuntime::run_with`],
+/// the streaming checkpointed replay ([`crate::replay`]) and fault
+/// campaigns ([`crate::faults`]) — sharing the loop is what makes a
+/// resumed streaming replay bitwise equal to an in-memory run, and an
+/// empty-plan campaign equal to a clean one.
 ///
 /// Every field is a plain accumulator (or restorable counter), so a
 /// checkpoint that snapshots them between intervals captures the entire
@@ -403,69 +407,94 @@ impl ReplayState {
     /// fan-out), walks the evaluation-cadence chunks, and accumulates
     /// energy and time. Evaluates no PDN: the protection reads the
     /// prepared `V_IN` current and a switch the runtime's C6 powers.
+    ///
+    /// The same pass serves fault campaigns: with a [`Campaign`] the
+    /// sensor reading goes through its plausibility filter, a `V_IN`
+    /// droop raises the current the protection sees, a latched watchdog
+    /// pins IVR-Mode, and mode changes retry the plan's flow failures;
+    /// the campaign's ledgers record every charge beside these
+    /// accumulators.
     pub(crate) fn step(
         &mut self,
         rt: &FlexWattsRuntime,
         sensors: &ActivitySensorBank,
         interval: &TraceInterval,
         prep: &PreparedInterval,
+        mut campaign: Option<&mut Campaign>,
     ) -> Result<(), PdnError> {
-        let PreparedInterval { power_ivr, power_ldo, vin_ldo, estimated_type, .. } = *prep;
         let pmu_inputs = match interval.phase {
-            Phase::Active { ar, .. } => PredictorInputs {
-                tdp: rt.soc.tdp,
-                ar: sensors.estimate(DomainKind::Core0, ar),
-                workload_type: estimated_type,
-                power_state: None,
-            },
-            Phase::Idle(state) => PredictorInputs {
-                tdp: rt.soc.tdp,
-                ar: interval.phase.ar(),
-                workload_type: WorkloadType::BatteryLife,
-                power_state: Some(state),
-            },
+            Phase::Active { ar, .. } => {
+                let reading = sensors.estimate(DomainKind::Core0, ar);
+                PredictorInputs {
+                    tdp: rt.soc.tdp,
+                    ar: match campaign.as_deref_mut() {
+                        Some(c) => c.sense(reading),
+                        None => reading,
+                    },
+                    workload_type: prep.estimated_type,
+                    power_state: None,
+                }
+            }
+            Phase::Idle(state) => {
+                if let Some(c) = campaign.as_deref_mut() {
+                    c.sensor_idle();
+                }
+                PredictorInputs {
+                    tdp: rt.soc.tdp,
+                    ar: interval.phase.ar(),
+                    workload_type: WorkloadType::BatteryLife,
+                    power_state: Some(state),
+                }
+            }
         };
+        // The LDO-Mode V_IN current the protection watches.
+        let vin = campaign.as_deref().map_or(prep.vin_ldo, |c| c.effective_vin(prep.vin_ldo));
+        let protected = rt.config.max_current_protection;
 
-        let oracle_power = power_ivr.min(power_ldo);
-        let oracle_mode = if power_ivr <= power_ldo { PdnMode::IvrMode } else { PdnMode::LdoMode };
+        let oracle_power = prep.power_ivr.min(prep.power_ldo);
+        let oracle_mode =
+            if prep.power_ivr <= prep.power_ldo { PdnMode::IvrMode } else { PdnMode::LdoMode };
 
         let mut remaining = interval.duration;
         while remaining.get() > 0.0 {
             if self.since_eval >= self.eval_interval {
                 self.since_eval = Seconds::ZERO;
                 self.evaluations += 1;
-                let mut decided = rt.predictor.predict_with_hysteresis(pmu_inputs, self.mode);
-                if rt.config.max_current_protection {
-                    let (enforced, fired) = rt.protection.enforce(decided, vin_ldo);
-                    if fired {
-                        self.protection_overrides += 1;
-                    }
-                    decided = enforced;
+                let preferred = if campaign.as_deref().is_some_and(Campaign::latched) {
+                    PdnMode::IvrMode
+                } else {
+                    rt.predictor.predict_with_hysteresis(pmu_inputs, self.mode)
+                };
+                let (decided, forced) = if protected {
+                    rt.protection.enforce(preferred, vin)
+                } else {
+                    (preferred, false)
+                };
+                if forced {
+                    self.protection_overrides += 1;
                 }
                 if decided == oracle_mode {
                     self.correct_predictions += 1;
                 }
                 if decided != self.mode {
-                    // The mode switch forces ≈ 94 µs of C6 idleness.
-                    let v_from = rt.vin_level(self.mode, prep);
-                    let v_to = rt.vin_level(decided, prep);
-                    let transition =
-                        rt.switch_flow.execute(self.mode, decided, v_from, v_to, &mut self.driver);
-                    let switch_time = transition.total();
-                    // During the switch the package sits in C6.
-                    let c6_power = rt.c6_power(decided)?;
-                    self.energy += c6_power * switch_time;
-                    self.oracle_energy += c6_power * switch_time;
-                    self.total_time += switch_time;
-                    self.switches.push(transition);
-                    self.mode = decided;
+                    match campaign.as_deref_mut() {
+                        Some(c) => c.change_mode(self, rt, decided, forced, prep)?,
+                        None => self.switch(rt, decided, prep, None)?,
+                    }
                 }
             }
+            // The hardware protection loop is far faster than the
+            // predictor's: LDO-Mode never executes a chunk with V_IN over
+            // the trip point, even one that starts between evaluations.
+            if protected && self.mode == PdnMode::LdoMode && rt.protection.would_trip(vin) {
+                self.protection_overrides += 1;
+                self.switch(rt, PdnMode::IvrMode, prep, campaign.as_deref_mut())?;
+            }
             let chunk = remaining.min(self.eval_interval - self.since_eval);
-            let power = match self.mode {
-                PdnMode::IvrMode => power_ivr,
-                PdnMode::LdoMode => power_ldo,
-            };
+            let power = prep.power(self.mode);
+            if let Some(c) = campaign.as_deref_mut() {
+                c.record_chunk(rt, self.mode, power * chunk, vin);
+            }
             self.energy += power * chunk;
             self.oracle_energy += oracle_power * chunk;
             *self.time_in_mode.get_mut(&self.mode).expect("all modes present") += chunk;
@@ -473,6 +502,32 @@ impl ReplayState {
             self.since_eval += chunk;
             remaining -= chunk;
         }
+        Ok(())
+    }
+
+    /// Executes the package-C6 switch flow into `to`, charging its
+    /// ≈ 94 µs of C6 idleness at the new mode's C6 power (to a
+    /// campaign's flow ledger too).
+    pub(crate) fn switch(
+        &mut self,
+        rt: &FlexWattsRuntime,
+        to: PdnMode,
+        prep: &PreparedInterval,
+        campaign: Option<&mut Campaign>,
+    ) -> Result<(), PdnError> {
+        let v_from = rt.vin_level(self.mode, prep);
+        let v_to = rt.vin_level(to, prep);
+        let transition = rt.switch_flow.execute(self.mode, to, v_from, v_to, &mut self.driver);
+        let switch_time = transition.total();
+        let c6_power = rt.c6_power(to)?;
+        self.energy += c6_power * switch_time;
+        self.oracle_energy += c6_power * switch_time;
+        self.total_time += switch_time;
+        if let Some(c) = campaign {
+            c.record_flow(c6_power * switch_time, switch_time);
+        }
+        self.switches.push(transition);
+        self.mode = to;
         Ok(())
     }
 
@@ -725,15 +780,21 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_serial_bitwise() {
-        // Fresh runtimes so both runs see the same sensor-jitter stream.
+        // One runtime: every run draws a fresh sensor-jitter stream.
+        let rt = runtime(18.0);
         let trace = BatteryLifeWorkload::VideoPlayback.as_trace(10);
-        let serial = runtime(18.0).run_with(&trace, Workers::Serial).unwrap();
-        let parallel = runtime(18.0).run_with(&trace, Workers::Fixed(4)).unwrap();
+        let serial = rt.run_with(&trace, Workers::Serial).unwrap();
+        let parallel = rt.run_with(&trace, Workers::Fixed(4)).unwrap();
         assert_eq!(serial.energy_joules.to_bits(), parallel.energy_joules.to_bits());
         assert_eq!(serial.oracle_energy_joules.to_bits(), parallel.oracle_energy_joules.to_bits());
         assert_eq!(serial.switches.len(), parallel.switches.len());
         assert_eq!(serial.predictor_evaluations, parallel.predictor_evaluations);
         assert_eq!(serial.prediction_accuracy, parallel.prediction_accuracy);
+        assert_eq!(
+            rt.run_with(&trace, Workers::Serial).unwrap(),
+            serial,
+            "a rerun repeats the first run"
+        );
     }
 
     #[test]

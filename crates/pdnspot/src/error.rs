@@ -161,12 +161,10 @@ pub enum PdnError {
     /// The scenario is inconsistent (e.g. no powered domain, or a solver
     /// could not bracket a solution).
     Scenario(String),
-    /// A component left (or refused to enter) its full-function envelope:
-    /// an invalid protection configuration, exhausted switch retries, a
-    /// latched safe-mode watchdog. Produced by validation paths and by
-    /// fault-tolerant runtimes running under a strict degradation policy,
-    /// where "carry on degraded" is not acceptable and the caller must see
-    /// the loss of service quality as an error.
+    /// A component refused to enter its full-function envelope, such as
+    /// an invalid protection configuration. Produced by validation paths
+    /// whose caller must see the loss of service quality as an error.
+    /// (Fault campaigns carry on degraded and count it instead.)
     Degraded {
         /// The component that degraded (e.g. `MaxCurrentProtection`,
         /// `FlexWattsRuntime`).

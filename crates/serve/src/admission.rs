@@ -202,8 +202,9 @@ pub struct AdmissionQueue {
 
 impl AdmissionQueue {
     /// A queue admitting at most `depth` waiting requests, with each
-    /// tenant bounded to `tenant_quota` of them (`0` = `depth`, i.e.
-    /// unlimited within the queue bound).
+    /// tenant bounded to `tenant_quota` of them (clamped into
+    /// `1..=depth`; `depth` leaves tenants unlimited within the queue
+    /// bound).
     #[must_use]
     pub fn new(depth: usize, tenant_quota: usize) -> Self {
         let depth = depth.max(1);
@@ -215,7 +216,7 @@ impl AdmissionQueue {
             }),
             available: Condvar::new(),
             depth,
-            tenant_quota: if tenant_quota == 0 { depth } else { tenant_quota.min(depth) },
+            tenant_quota: tenant_quota.clamp(1, depth),
         }
     }
 
@@ -538,7 +539,7 @@ mod tests {
 
     #[test]
     fn queue_rejects_past_depth_and_after_close() {
-        let queue = AdmissionQueue::new(2, 0);
+        let queue = AdmissionQueue::new(2, 2);
         let (reply, _rx) = handle(8);
         queue.submit(ping_job(0, 1, reply.clone())).expect("first admitted");
         queue.submit(ping_job(0, 2, reply.clone())).expect("second admitted");

@@ -153,7 +153,7 @@ proptest! {
     #[test]
     fn admission_schedule_invariants(schedule in steps(), depth in 1usize..12, quota in 0usize..8) {
         let queue = AdmissionQueue::new(depth, quota);
-        let effective_quota = if quota == 0 { depth } else { quota.min(depth) };
+        let effective_quota = quota.clamp(1, depth);
         let mut queued: Vec<u64> = Vec::new(); // ids admitted, not yet drained
         let mut drained: Vec<u64> = Vec::new();
         let mut held: HashMap<u32, usize> = HashMap::new(); // model budgets

@@ -4,10 +4,7 @@
 //! current, conserved energy/time ledgers, internally consistent fault
 //! accounting — and bit-identical reports for the same seed and plan.
 
-use flexwatts::{
-    DegradationPolicy, FaultCounts, FaultMix, FaultPlan, FlexWattsRuntime, ModePredictor,
-    RuntimeConfig,
-};
+use flexwatts::{FaultCounts, FaultMix, FaultPlan, FlexWattsRuntime, ModePredictor, RuntimeConfig};
 use pdn_proc::client_soc;
 use pdn_units::{ApplicationRatio, Seconds, Watts};
 use pdn_workload::{Trace, TraceInterval, WorkloadType};
@@ -61,13 +58,12 @@ fn mixes() -> Vec<(&'static str, FaultMix)> {
 fn seeds_by_mixes_sweep_holds_every_invariant() {
     let trace = toggling_trace();
     let rt = runtime(36.0);
-    let policy = DegradationPolicy::default();
     let mut total_injected = 0u64;
     for seed in [0xF1E2u64, 1, 2] {
         for (name, mix) in mixes() {
             let plan = FaultPlan::generate(seed, trace.intervals().len(), &mix);
             let report = rt
-                .run_faulted(&trace, &plan, &policy)
+                .run_faulted(&trace, &plan)
                 .unwrap_or_else(|e| panic!("seed {seed} mix {name}: {e}"));
             assert!(
                 report.invariants.holds(),
@@ -99,16 +95,15 @@ fn seeds_by_mixes_sweep_holds_every_invariant() {
 #[test]
 fn same_seed_and_plan_reports_are_bit_identical() {
     let trace = toggling_trace();
-    let policy = DegradationPolicy::default();
     let plan = FaultPlan::generate(7, trace.intervals().len(), &FaultMix::chaos());
-    let a = runtime(36.0).run_faulted(&trace, &plan, &policy).unwrap();
-    let b = runtime(36.0).run_faulted(&trace, &plan, &policy).unwrap();
+    let a = runtime(36.0).run_faulted(&trace, &plan).unwrap();
+    let b = runtime(36.0).run_faulted(&trace, &plan).unwrap();
     assert_eq!(a, b, "identical seed + plan must reproduce bitwise");
     assert_eq!(a.runtime.energy_joules.to_bits(), b.runtime.energy_joules.to_bits());
     // The worker pool only fans out pure work; injection replays
     // serially, so the report is worker-count independent too.
-    let serial = runtime(36.0).run_faulted_with(&trace, &plan, &policy, Workers::Serial).unwrap();
-    let pooled = runtime(36.0).run_faulted_with(&trace, &plan, &policy, Workers::Fixed(3)).unwrap();
+    let serial = runtime(36.0).run_faulted_with(&trace, &plan, Workers::Serial).unwrap();
+    let pooled = runtime(36.0).run_faulted_with(&trace, &plan, Workers::Fixed(3)).unwrap();
     assert_eq!(serial, pooled);
     assert_eq!(a, serial);
 }
@@ -116,21 +111,12 @@ fn same_seed_and_plan_reports_are_bit_identical() {
 #[test]
 fn different_seeds_produce_different_campaigns() {
     let trace = toggling_trace();
-    let policy = DegradationPolicy::default();
     let rt = runtime(36.0);
     let a = rt
-        .run_faulted(
-            &trace,
-            &FaultPlan::generate(1, trace.intervals().len(), &FaultMix::chaos()),
-            &policy,
-        )
+        .run_faulted(&trace, &FaultPlan::generate(1, trace.intervals().len(), &FaultMix::chaos()))
         .unwrap();
     let b = rt
-        .run_faulted(
-            &trace,
-            &FaultPlan::generate(2, trace.intervals().len(), &FaultMix::chaos()),
-            &policy,
-        )
+        .run_faulted(&trace, &FaultPlan::generate(2, trace.intervals().len(), &FaultMix::chaos()))
         .unwrap();
     assert_ne!(a, b, "different seeds must drive different campaigns");
 }
